@@ -1,66 +1,38 @@
-"""Machine-readable benchmark results: the ``BENCH_results.json`` artifact.
+"""The pytest harnesses' side of the ``BENCH_results.json`` artifact.
 
 Every benchmark harness funnels its measurements through :func:`record`, so
 one run of ``pytest benchmarks`` leaves behind a single JSON artifact that CI
 uploads (see the ``fast-benchmarks`` job in ``.github/workflows/ci.yml``).
+The document itself — its schema-3 layout, the lossless migration of
+schema-1/2 artifacts, reading and writing — belongs to
+:mod:`repro.bench.results`, the one writer the CLI paths share.  This module
+adds only the harness pieces: the per-process :func:`run_id`, :func:`record`,
+:func:`reset_results`, and the :func:`best_of` timer.
 
-Entries are grouped into **per-run lists**: each pytest session (or any other
-harness process) appends its measurements to its own run record instead of a
-single flat list.  This fixes the schema-1 behaviour where a second harness
-session in the same CI run deleted the first session's artifact wholesale —
-e.g. the conformance job's pool-path run clobbering the benchmark job's
-numbers when both wrote the same path:
-
-.. code-block:: json
-
-    {"schema": 3,
-     "runs": [{"run": "12345-1700000000", "started_at": "...",
-               "entries": [{"suite": "compiled_backend", "model": "switching",
-                            "engine": "is", "backend": "compiled",
-                            "particles": 10000, "wall_time_s": 0.0118,
-                            "speedup": 4.4, "baseline": "interp",
-                            "extra": {}}]}],
-     "curves": {}}
-
-Schema 3 adds the top-level ``curves`` map, written by ``repro bench
-evaluate`` (see :mod:`repro.bench.results`, the in-package counterpart of
-this module): one slot per evaluate tag holding that run's
-accuracy-vs-wall-time scaling curves.  The pytest harnesses here never
-write ``curves`` but must round-trip it — resetting a run record or
-appending an entry leaves recorded curve sets untouched.
-
-``wall_time_s`` is the best-of-N wall time of the measured configuration;
-``speedup`` (optional) is relative to the named ``baseline``.  The output
-path defaults to ``BENCH_results.json`` in the current directory and can be
-redirected with ``REPRO_BENCH_RESULTS``.  Writes are load-modify-write per
-record, which is plenty for the handful of entries a benchmark run emits.
+Entries are grouped into **per-run lists**: each pytest session (or any
+other harness process) appends its measurements to its own run record, so
+two harness sessions writing one artifact in the same CI run never clobber
+each other.  ``wall_time_s`` is the best-of-N wall time of the measured
+configuration; ``speedup`` (optional) is relative to the named
+``baseline``.  The output path defaults to ``BENCH_results.json`` in the
+current directory and can be redirected with ``REPRO_BENCH_RESULTS``.
 :func:`reset_results` (called once per session by the autouse fixture in
 ``benchmarks/conftest.py``) starts a fresh run record and prunes old runs
-beyond :data:`MAX_RUNS`, so local re-runs do not grow the file forever while
-runs within one CI workflow all survive.
+beyond :data:`repro.bench.results.MAX_RUNS`, so local re-runs do not grow
+the file forever while runs within one CI workflow all survive.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
-SCHEMA_VERSION = 3
-
-#: How many historical runs one artifact retains (oldest pruned first).
-MAX_RUNS = 8
+from repro.bench.results import MAX_RUNS, load_results, write_results
 
 #: The current process's run identifier; lazily assigned so importing this
 #: module never touches the filesystem.
 _RUN_ID: Optional[str] = None
-
-
-def results_path() -> Path:
-    """Where the artifact lives (``REPRO_BENCH_RESULTS`` overrides)."""
-    return Path(os.environ.get("REPRO_BENCH_RESULTS", "BENCH_results.json"))
 
 
 def run_id() -> str:
@@ -69,51 +41,6 @@ def run_id() -> str:
     if _RUN_ID is None:
         _RUN_ID = f"{os.getpid()}-{int(time.time())}"
     return _RUN_ID
-
-
-def _fresh_document() -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "runs": [],
-        "curves": {},
-    }
-
-
-def _load() -> dict:
-    path = results_path()
-    if not path.exists():
-        return _fresh_document()
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return _fresh_document()
-    if not isinstance(data, dict):
-        return _fresh_document()
-    if data.get("schema") == SCHEMA_VERSION:
-        data.setdefault("runs", [])
-        data.setdefault("curves", {})
-        return data
-    if data.get("schema") == 2 and isinstance(data.get("runs"), list):
-        # Schema 3 only adds the ``curves`` map; schema-2 run records carry
-        # over untouched.
-        document = _fresh_document()
-        document["created_at"] = data.get("created_at", document["created_at"])
-        document["runs"] = data["runs"]
-        return document
-    if data.get("schema") == 1 and isinstance(data.get("entries"), list):
-        # Migrate a schema-1 artifact in place: its flat entry list becomes
-        # one legacy run, so no measurement is lost across the upgrade.
-        document = _fresh_document()
-        document["runs"].append(
-            {
-                "run": "legacy-schema-1",
-                "started_at": data.get("created_at"),
-                "entries": data["entries"],
-            }
-        )
-        return document
-    return _fresh_document()
 
 
 def _current_run(data: dict) -> dict:
@@ -129,36 +56,17 @@ def _current_run(data: dict) -> dict:
     return run
 
 
-def _write(data: dict) -> None:
-    results_path().write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
 def reset_results() -> None:
     """Start this process's run record afresh (called once per session).
 
-    Other runs' records are preserved (that is the point of schema 2); only
-    runs beyond :data:`MAX_RUNS` are pruned, oldest first.
+    Other runs' records are preserved; only runs beyond ``MAX_RUNS`` are
+    pruned, oldest first.
     """
-    data = _load()
-    data["runs"] = [run for run in data["runs"] if run.get("run") != run_id()]
-    data["runs"] = data["runs"][-(MAX_RUNS - 1):] if MAX_RUNS > 1 else []
+    data = load_results()
+    runs = [run for run in data["runs"] if run.get("run") != run_id()]
+    data["runs"] = runs[-(MAX_RUNS - 1):] if MAX_RUNS > 1 else []
     _current_run(data)
-    _write(data)
-
-
-def current_run_entries() -> List[dict]:
-    """The entries recorded by this process so far (for tests/reporting)."""
-    data = _load()
-    for run in data["runs"]:
-        if run.get("run") == run_id():
-            return list(run["entries"])
-    return []
-
-
-def all_entries() -> List[dict]:
-    """Every entry across all retained runs, in file order."""
-    data = _load()
-    return [entry for run in data["runs"] for entry in run["entries"]]
+    write_results(data)
 
 
 def record(
@@ -183,7 +91,7 @@ def record(
     Entries sharing a key never overwrite each other: measurements
     accumulate within the run's list.
     """
-    data = _load()
+    data = load_results()
     entry = {
         "suite": suite,
         "model": model,
@@ -199,7 +107,7 @@ def record(
     if extra:
         entry["extra"] = extra
     _current_run(data)["entries"].append(entry)
-    _write(data)
+    write_results(data)
 
 
 def best_of(repeats: int, thunk):

@@ -3,7 +3,9 @@
 The schema-1 regression these pin: two harness sessions writing the same
 artifact path in one CI run used to clobber each other (`reset_results`
 deleted the whole file), and entries sharing a suite/model key could only be
-told apart by ordering.  Schema 2 keeps one entry list per run.
+told apart by ordering.  Schema 2 keeps one entry list per run.  The
+migration suite at the bottom pins the one migrator
+(`repro.bench.results`) that both the harness and the CLI write through.
 """
 
 import json
@@ -11,6 +13,24 @@ import json
 import pytest
 
 import _record
+from repro.bench import results as bench_results
+
+
+def _runs():
+    return bench_results.load_results()["runs"]
+
+
+def _current_run_entries():
+    """The entries recorded under the current run id so far."""
+    for run in _runs():
+        if run.get("run") == _record.run_id():
+            return list(run["entries"])
+    return []
+
+
+def _all_entries():
+    """Every entry across all retained runs, in file order."""
+    return [entry for run in _runs() for entry in run["entries"]]
 
 
 @pytest.fixture()
@@ -32,7 +52,7 @@ def test_entries_accumulate_within_a_run(artifact):
     _record.record(suite="s", model="m", engine="is", wall_time_s=0.1)
     _record.record(suite="s", model="m", engine="is", wall_time_s=0.2)
 
-    entries = _record.current_run_entries()
+    entries = _current_run_entries()
     assert [e["wall_time_s"] for e in entries] == [0.1, 0.2]
 
 
@@ -48,9 +68,9 @@ def test_two_sessions_sharing_a_key_both_survive(artifact):
     _record.record(suite="shared", model="m", engine="is", wall_time_s=0.9)
 
     data = json.loads(path.read_text())
-    assert data["schema"] == _record.SCHEMA_VERSION
+    assert data["schema"] == bench_results.SCHEMA_VERSION
     assert [run["run"] for run in data["runs"]] == ["run-a", "run-b"]
-    assert [e["wall_time_s"] for e in _record.all_entries()] == [0.1, 0.9]
+    assert [e["wall_time_s"] for e in _all_entries()] == [0.1, 0.9]
 
 
 def test_reset_restarts_only_the_current_run(artifact):
@@ -65,8 +85,33 @@ def test_reset_restarts_only_the_current_run(artifact):
 
     set_run("run-a")  # e.g. a pytest re-run within the same process
     _record.reset_results()
-    assert _record.current_run_entries() == []
-    assert [e["wall_time_s"] for e in _record.all_entries()] == [0.2]
+    assert _current_run_entries() == []
+    assert [e["wall_time_s"] for e in _all_entries()] == [0.2]
+
+
+def test_old_runs_are_pruned_beyond_the_cap(artifact):
+    path, set_run = artifact
+    for i in range(bench_results.MAX_RUNS + 3):
+        set_run(f"run-{i}")
+        _record.reset_results()
+        _record.record(suite="s", model="m", engine="is", wall_time_s=float(i))
+    data = json.loads(path.read_text())
+    assert len(data["runs"]) == bench_results.MAX_RUNS
+    assert data["runs"][-1]["run"] == f"run-{bench_results.MAX_RUNS + 2}"
+
+
+def test_corrupt_artifact_is_replaced_not_fatal(artifact):
+    path, set_run = artifact
+    path.write_text("{ not json")
+    set_run("run-a")
+    _record.record(suite="s", model="m", engine="is", wall_time_s=0.1)
+    assert len(_all_entries()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Migration suite: schema 1, 2 and 3 artifacts all come out as schema 3,
+# losslessly, through the one migrator in ``repro.bench.results``.
+# ---------------------------------------------------------------------------
 
 
 def test_schema_1_artifacts_migrate_without_losing_entries(artifact):
@@ -81,33 +126,11 @@ def test_schema_1_artifacts_migrate_without_losing_entries(artifact):
     _record.record(suite="new", model="m", engine="is", wall_time_s=0.5)
 
     data = json.loads(path.read_text())
-    assert data["schema"] == _record.SCHEMA_VERSION
+    assert data["schema"] == bench_results.SCHEMA_VERSION
     assert [run["run"] for run in data["runs"]] == ["legacy-schema-1", "run-new"]
-    assert [e["suite"] for e in _record.all_entries()] == ["old", "new"]
+    assert [e["suite"] for e in _all_entries()] == ["old", "new"]
 
 
-def test_old_runs_are_pruned_beyond_the_cap(artifact):
-    path, set_run = artifact
-    for i in range(_record.MAX_RUNS + 3):
-        set_run(f"run-{i}")
-        _record.reset_results()
-        _record.record(suite="s", model="m", engine="is", wall_time_s=float(i))
-    data = json.loads(path.read_text())
-    assert len(data["runs"]) == _record.MAX_RUNS
-    assert data["runs"][-1]["run"] == f"run-{_record.MAX_RUNS + 2}"
-
-
-def test_corrupt_artifact_is_replaced_not_fatal(artifact):
-    path, set_run = artifact
-    path.write_text("{ not json")
-    set_run("run-a")
-    _record.record(suite="s", model="m", engine="is", wall_time_s=0.1)
-    assert len(_record.all_entries()) == 1
-
-
-# ---------------------------------------------------------------------------
-# Schema-2 -> 3 migration property: arbitrary entry lists round-trip.
-# ---------------------------------------------------------------------------
 
 def _random_entry(rng):
     """One schema-2 entry with randomized shape (optional fields, extras)."""
@@ -140,7 +163,7 @@ def _random_schema2_document(rng):
                 "started_at": None if rng.random() < 0.2 else "2026-01-01T00:00:00",
                 "entries": [_random_entry(rng) for _ in range(rng.randrange(0, 6))],
             }
-            for i in range(rng.randrange(0, _record.MAX_RUNS))
+            for i in range(rng.randrange(0, bench_results.MAX_RUNS))
         ],
     }
 
@@ -163,13 +186,19 @@ def test_schema_2_migration_round_trips_arbitrary_runs(artifact):
         _record.record(suite="post", model="m", engine="is", wall_time_s=0.1)
 
         data = json.loads(path.read_text())
-        assert data["schema"] == _record.SCHEMA_VERSION
+        assert data["schema"] == bench_results.SCHEMA_VERSION
         assert data["curves"] == {}
         assert data["created_at"] == document["created_at"]
         # Every prior session survives untouched; the new run is appended.
         assert data["runs"][:-1] == original_runs
         assert data["runs"][-1]["run"] == f"migration-run-{seed}"
         assert [e["suite"] for e in data["runs"][-1]["entries"]] == ["post"]
+
+        # The CLI's curve writer goes through the same document: runs stay.
+        bench_results.record_curves(f"bench:v1:seed={seed}", {"passed": True})
+        data = json.loads(path.read_text())
+        assert data["runs"][:-1] == original_runs
+        assert list(data["curves"]) == [f"bench:v1:seed={seed}"]
 
 
 def test_schema_3_load_is_idempotent_and_preserves_curves(artifact):
@@ -187,30 +216,6 @@ def test_schema_3_load_is_idempotent_and_preserves_curves(artifact):
     _record.record(suite="s", model="m", engine="is", wall_time_s=0.1)
 
     data = json.loads(path.read_text())
-    assert data["schema"] == _record.SCHEMA_VERSION
+    assert data["schema"] == bench_results.SCHEMA_VERSION
     assert data["curves"] == curves
     assert [run["run"] for run in data["runs"]] == ["older", "run-a"]
-
-
-def test_package_writer_agrees_with_harness_migration(artifact):
-    """`repro.bench.results` (the in-package writer used by the CLI) and this
-    module must produce the same schema-3 view of a schema-2 artifact."""
-    import random
-
-    from repro.bench import results as bench_results
-
-    path, _set_run = artifact
-    rng = random.Random(1234)
-    document = _random_schema2_document(rng)
-    path.write_text(json.dumps(document))
-
-    assert bench_results.SCHEMA_VERSION == _record.SCHEMA_VERSION
-    migrated = bench_results.load_results(str(path))
-    assert migrated["schema"] == _record.SCHEMA_VERSION
-    assert migrated["runs"] == document["runs"]
-    assert migrated["curves"] == {}
-
-    bench_results.record_curves("bench:v1:seed=7", {"passed": True}, str(path))
-    data = json.loads(path.read_text())
-    assert data["runs"] == document["runs"]
-    assert list(data["curves"]) == ["bench:v1:seed=7"]

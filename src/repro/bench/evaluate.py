@@ -50,18 +50,25 @@ class EvaluateConfig:
 
 
 def curve_key(point: dict) -> str:
-    """The curve a sweep point belongs to.
+    """The curve a sweep point (or a baseline curve) belongs to.
 
-    The backend segment carries the JIT tier as a ``+tier`` suffix (matching
-    the runner's point keys), so ``compiled`` and ``compiled+mega`` gate as
-    separate curves.  Points from runs predating the tier field stay on
-    their historical keys.
+    Runs from before the compiled backend had a single tier tagged points
+    with a ``jit`` field and keyed megakernel curves ``compiled+mega``; the
+    key ignores that field, so those points land on the ``compiled`` curve.
     """
-    jit = point.get("jit", "none")
-    backend = point["backend"] if jit == "none" else f"{point['backend']}+{jit}"
     return "{}/{}/{}/shards={}".format(
-        point["model"], point["engine"], backend, point["shards"]
+        point["model"], point["engine"], point["backend"], point["shards"]
     )
+
+
+def _prefer_megakernel(items: List[dict]) -> List[dict]:
+    """Items of one curve key, keeping only the megakernel tier when present.
+
+    A historical run or baseline may hold both the old fused ``compiled``
+    tier and the ``compiled+mega`` tier for one slice; the megakernel is
+    what ``compiled`` runs now, so its numbers are the like-for-like ones.
+    """
+    return [item for item in items if item.get("jit", "none") != "none"] or items
 
 
 def build_curves(results_doc: dict) -> List[dict]:
@@ -77,7 +84,7 @@ def build_curves(results_doc: dict) -> List[dict]:
         grouped.setdefault(curve_key(point), []).append(point)
     curves = []
     for key in sorted(grouped):
-        points = sorted(grouped[key], key=lambda p: p["particles"])
+        points = sorted(_prefer_megakernel(grouped[key]), key=lambda p: p["particles"])
         first = points[0]
         curve_points = []
         for point in points:
@@ -104,7 +111,6 @@ def build_curves(results_doc: dict) -> List[dict]:
                 "model": first["model"],
                 "engine": first["engine"],
                 "backend": first["backend"],
-                "jit": first.get("jit", "none"),
                 "shards": first["shards"],
                 "points": curve_points,
             }
@@ -135,10 +141,13 @@ def _quality_violations(curves: List[dict], config: EvaluateConfig) -> List[dict
 def _speed_violations(
     curves: List[dict], baseline_curves: List[dict], config: EvaluateConfig
 ) -> List[dict]:
-    baseline_walls: Dict[Tuple[str, int], float] = {}
+    by_key: Dict[str, List[dict]] = {}
     for curve in baseline_curves:
-        for point in curve["points"]:
-            baseline_walls[(curve["key"], point["particles"])] = point["wall_time_s"]
+        by_key.setdefault(curve_key(curve), []).append(curve)
+    baseline_walls: Dict[Tuple[str, int], float] = {}
+    for key, candidates in by_key.items():
+        for point in _prefer_megakernel(candidates)[0]["points"]:
+            baseline_walls[(key, point["particles"])] = point["wall_time_s"]
     violations = []
     for curve in curves:
         log_ratios = []

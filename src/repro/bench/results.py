@@ -1,10 +1,10 @@
-"""Schema-3 ``BENCH_results.json`` access for the installed package.
+"""Schema-3 ``BENCH_results.json``: the one reader, writer and migrator.
 
-``benchmarks/_record.py`` owns the artifact from the pytest harnesses; this
-module is its in-package counterpart for the CLI paths (``repro bench
-evaluate`` recording scaling curves, ``repro loadgen --record`` appending a
-load entry) so they work without the benchmarks directory on ``sys.path``.
-Both speak the same document:
+Every writer of the artifact goes through this module: the CLI paths
+(``repro bench evaluate`` recording scaling curves, ``repro loadgen
+--record`` appending a load entry) and the pytest harnesses'
+``benchmarks/_record.py``, which adds only per-session run bookkeeping on
+top.  They all speak one document:
 
 .. code-block:: json
 
@@ -29,7 +29,7 @@ from typing import Optional
 
 SCHEMA_VERSION = 3
 
-#: Retention caps, shared with ``benchmarks/_record.py``: oldest pruned first.
+#: Retention caps (oldest pruned first).
 MAX_RUNS = 8
 MAX_CURVE_SETS = 8
 

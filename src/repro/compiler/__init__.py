@@ -11,18 +11,19 @@ uses Python generators for coroutine switching:
 * :mod:`repro.compiler.runtime` provides the scheduler that drives the
   generated coroutines, routing every sample through
   :func:`repro.minipyro.sample` so the substrate's tracing machinery is
-  exercised exactly as it is by handwritten mini-Pyro code.
+  exercised exactly as it is by handwritten mini-Pyro code;
+* :func:`repro.compiler.codegen.load_mega` compiles a pair into the batched
+  NumPy kernel behind the vectorized engines' ``backend="compiled"``.
 """
 
 from repro.compiler.codegen import (
     CompiledModule,
-    FusedKernel,
-    compile_fused_pair,
+    MegaKernel,
     compile_pair,
     compile_program,
     fused_unsupported_reason,
     load_compiled,
-    load_fused,
+    load_mega,
 )
 from repro.compiler.runtime import (
     CompiledImportanceResults,
@@ -32,10 +33,9 @@ from repro.compiler.runtime import (
 )
 
 __all__ = [
-    "FusedKernel",
-    "compile_fused_pair",
+    "MegaKernel",
     "fused_unsupported_reason",
-    "load_fused",
+    "load_mega",
     "compile_program",
     "compile_pair",
     "load_compiled",

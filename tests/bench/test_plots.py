@@ -16,20 +16,17 @@ def _curves():
     return [
         {
             "key": "weight/is/interp/shards=1",
-            "model": "weight", "engine": "is", "backend": "interp",
-            "jit": "none", "shards": 1,
+            "model": "weight", "engine": "is", "backend": "interp", "shards": 1,
             "points": [point(250, 0.01, 0.04), point(1000, 0.04, 0.02)],
         },
         {
-            "key": "weight/is/compiled+mega/shards=1",
-            "model": "weight", "engine": "is", "backend": "compiled",
-            "jit": "mega", "shards": 1,
+            "key": "weight/is/compiled/shards=1",
+            "model": "weight", "engine": "is", "backend": "compiled", "shards": 1,
             "points": [point(250, 0.005, 0.04), point(1000, 0.02, 0.02)],
         },
         {
             "key": "hmm_chain/8/smc/interp/shards=1",
-            "model": "hmm_chain/8", "engine": "smc", "backend": "interp",
-            "jit": "none", "shards": 1,
+            "model": "hmm_chain/8", "engine": "smc", "backend": "interp", "shards": 1,
             # No golden stats: the accuracy panel must render its placeholder.
             "points": [point(250, 0.02), point(1000, 0.09)],
         },
@@ -42,9 +39,9 @@ def test_render_model_svg_is_wellformed_and_complete():
     assert svg.count("<polyline") == 4  # 2 curves x 2 panels
     assert "weight — wall time vs particles" in svg
     assert "max golden error" in svg
-    # The mega tier gets the dotted dash; interp stays solid.
-    assert 'stroke-dasharray="2 3"' in svg
-    assert "weight/is/compiled+mega/shards=1" in svg  # legend row
+    # The compiled backend gets the dashed stroke; interp stays solid.
+    assert 'stroke-dasharray="6 3"' in svg
+    assert "weight/is/compiled/shards=1" in svg  # legend row
 
 
 def test_render_is_deterministic():

@@ -185,6 +185,52 @@ def test_speed_gate_ignores_sub_resolution_points(tiny_run, tmp_path):
         assert violations == []
 
 
+def _compiled_point(wall, jit=None):
+    point = {
+        "model": "weight", "engine": "is", "backend": "compiled", "shards": 1,
+        "particles": 1000, "wall_time_s": wall, "quality_atol": 0.05, "stats": {},
+    }
+    if jit is not None:
+        point["jit"] = jit
+    return point
+
+
+def test_historical_megakernel_curves_gate_the_compiled_backend(tmp_path):
+    """Runs from before the compiled backend had one tier carried a fused
+    ``compiled`` curve and a ``compiled+mega`` curve per slice.  Both map to
+    the ``compiled`` key, and the megakernel curve wins, so the speed gate
+    compares today's compiled backend (the megakernel) with its own history."""
+    history = {"snapshot": "v1", "points": [
+        _compiled_point(0.010, jit="none"), _compiled_point(0.020, jit="mega"),
+    ]}
+    historical_curves = build_curves(history)
+    assert [c["key"] for c in historical_curves] == ["weight/is/compiled/shards=1"]
+    assert historical_curves[0]["points"][0]["wall_time_s"] == 0.020
+
+    # A baseline written by the old evaluator: one curve per tier.
+    fused_curve, mega_curve = (
+        {"key": key, "model": "weight", "engine": "is", "backend": "compiled",
+         "jit": jit, "shards": 1,
+         "points": [{"particles": 1000, "wall_time_s": wall, "quality_atol": 0.05}]}
+        for key, jit, wall in (
+            ("weight/is/compiled/shards=1", "none", 0.010),
+            ("weight/is/compiled+mega/shards=1", "mega", 0.020),
+        )
+    )
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "results.json").write_text(
+        json.dumps({"snapshot": "v1", "points": [_compiled_point(0.021)]})
+    )
+    for order in ([fused_curve, mega_curve], [mega_curve, fused_curve]):
+        baseline = baseline_payload(order, "v1")
+        _report, violations = evaluate_run(run_dir, baseline=baseline)
+        assert violations == [], order  # 0.021 / 0.020, not 0.021 / 0.010
+    # Against the fused curve alone the same run reads as a 2.1x regression.
+    _report, violations = evaluate_run(run_dir, baseline=baseline_payload([fused_curve], "v1"))
+    assert [v["gate"] for v in violations] == ["speed"]
+
+
 def test_snapshot_mismatch_is_a_baseline_violation(tiny_run, tmp_path):
     out_dir, _document = tiny_run
     report, _ = evaluate_run(out_dir)

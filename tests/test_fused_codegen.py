@@ -1,4 +1,4 @@
-"""Unit tests for the fused batched backend: codegen, helpers, caching.
+"""Unit tests for the compiled batched backend: codegen, helpers, caching.
 
 The conformance-level guarantee (bitwise-equal runs on whole models) lives
 in ``tests/conformance/test_backend_parity.py``; here we pin the pieces:
@@ -8,7 +8,8 @@ in ``tests/conformance/test_backend_parity.py``; here we pin the pieces:
   :class:`~repro.engine.batched.BatchedDist` on their licensed inputs;
 * the supported-fragment check rejects exactly the features the compiled
   kernel cannot mirror, with actionable reasons;
-* the emitted source is straight-line (no generators, no op dispatch);
+* the emitted kernel partitions divergent branches and mirrors the
+  interpreter's errors and fallbacks;
 * kernels are compiled once per session and the session cache key includes
   the typechecker version, so a compiler change can never replay stale
   cached artifacts.
@@ -19,14 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler import (
-    compile_fused_pair,
-    fused_unsupported_reason,
-    load_fused,
-)
+from repro.compiler import fused_unsupported_reason, load_mega
 from repro.compiler import batched_runtime as rt
 from repro.core import ast
 from repro.core.parser import parse_program
+from repro.core.semantics import traces as tr
 from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
 from repro.engine.batched import BatchedDist
 from repro.errors import CompilationError, InferenceError
@@ -204,49 +202,39 @@ proc M() consume latent provide obs {
 def test_compile_fused_raises_for_unsupported():
     bench = get_benchmark("marsaglia")
     with pytest.raises(CompilationError, match="recursive"):
-        compile_fused_pair(
+        load_mega(
             bench.model_program(), bench.guide_program(),
             bench.model_entry, bench.guide_entry,
         )
 
 
 # ---------------------------------------------------------------------------
-# Emitted-source properties
+# Emitted-kernel behaviour
 # ---------------------------------------------------------------------------
-
-
-def test_fused_source_is_straight_line():
-    bench = get_benchmark("lr")
-    source = compile_fused_pair(
-        bench.model_program(), bench.guide_program(),
-        bench.model_entry, bench.guide_entry,
-    )
-    assert "yield" not in source
-    assert "def fused_kernel(rng, n, obs, model_args, guide_args):" in source
-    # Guide-to-model routing is resolved at compile time: the guide's drawn
-    # variable is scored directly by the model's density, no queues involved.
-    assert "sample_n(rng, n)" in source
-    compile(source, "<fused>", "exec")  # parses and compiles clean
 
 
 def test_fused_kernel_handles_divergent_branches():
     bench = get_benchmark("ex-1")
-    kernel = load_fused(
+    kernel = load_mega(
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
-    # uniform_or_none partitioning: false subgroup first (interp LIFO order)
+    # uniform_or_none partitioning onto a worklist: the true arm is pushed
+    # first so the false subgroup pops first (interp LIFO order).
+    assert "yield" not in kernel.source
     assert "uniform_or_none" in kernel.source
-    assert "(False, ~" in kernel.source
+    assert "for _sb, _sg in ((True, " in kernel.source
     leaves = kernel.run(np.random.default_rng(0), 64, None, (), ())
     assert len(leaves) == 2
     covered = np.sort(np.concatenate([leaf.indices for leaf in leaves]))
     assert np.array_equal(covered, np.arange(64))
+    # Each leaf is stamped with the path it took, for compiled rescoring.
+    assert sorted(leaf.mega_path for leaf in leaves) == [0, 1]
 
 
 def test_fused_kernel_entry_arity_errors_match_interp():
     bench = get_benchmark("weight")
-    kernel = load_fused(
+    kernel = load_mega(
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
@@ -263,6 +251,7 @@ def test_fused_kernel_entry_arity_errors_match_interp():
 
 def test_session_compiles_kernel_once():
     bench = get_benchmark("coin")
+    clear_kernel_cache()  # a cached kernel may already have rescored
     session = ProgramSession(
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
@@ -272,6 +261,16 @@ def test_session_compiles_kernel_once():
     assert reason1 is None
     assert kernel1 is kernel2
     assert session.compiled_backend_supported is True
+    # IS/SMC never rescore, so the rescore pass is compiled on first use only.
+    for engine in ("is", "smc"):
+        session.infer(engine, num_particles=32, obs_values=bench.obs_values,
+                      seed=0, backend="compiled")
+    assert session.fused_kernel()[0] is kernel1
+    assert "mega_rescore" not in kernel1.source
+    obs = tuple(tr.ValP(v) for v in bench.obs_values)
+    leaf = kernel1.run(np.random.default_rng(0), 16, obs, (), ())[0]
+    kernel1.rescore(leaf, obs, (), ())
+    assert "def mega_rescore(" in kernel1.source
 
 
 def test_backend_name_is_validated():
@@ -310,7 +309,6 @@ def test_runtime_tuple_arm_falls_back_like_interp():
     can see (the arms are variables, not tuple literals) must not crash the
     compiled backend — both backends take the whole-batch sequential fallback
     and produce identical results."""
-    from repro.core.semantics import traces as tr
     from repro.engine import make_particle_runner
     from repro.engine.backend import CompiledParticleRunner
 
@@ -351,6 +349,35 @@ proc G() provide latent {
     )
 
 
+def test_observe_scores_match_interp():
+    """Regression: the compiled kernel appended ``observe`` scores to a
+    runtime list it never defined (a NameError on the first run).  They now
+    join the observation scores, in program order, as in the interpreter."""
+    from repro.engine import make_particle_runner
+
+    model = parse_program("""
+proc M() consume latent provide obs {
+  x <- sample.recv{latent}(Normal(0.0, 1.0));
+  _ <- observe(Normal(x, 1.0), 0.3);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+""")
+    guide = parse_program(GUIDE_MIN)
+    runs = {
+        backend: make_particle_runner(
+            model_program=model, guide_program=guide, model_entry="M",
+            guide_entry="G", obs_trace=(tr.ValP(0.4),), backend=backend,
+        ).run(50, np.random.default_rng(0))
+        for backend in ("interp", "compiled")
+    }
+    assert runs["compiled"].backend == "compiled"
+    assert np.array_equal(runs["interp"].log_weights(), runs["compiled"].log_weights())
+    assert np.array_equal(
+        runs["interp"].obs_score_matrix(), runs["compiled"].obs_score_matrix()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Fuzzer-found regression: const provenance must not survive materialisation
 # ---------------------------------------------------------------------------
@@ -365,7 +392,6 @@ def test_branch_constant_result_feeding_dist_params_compiles():
     looked all-const and was hoisted into the module preamble — where the
     local name does not exist, a ``NameError`` at kernel load.
     """
-    from repro.core.semantics import traces as tr
 
     model_src = """
 proc M() consume latent provide obs {
@@ -391,7 +417,7 @@ proc G() provide latent {
 """
     model, guide = parse_program(model_src), parse_program(guide_src)
     assert fused_unsupported_reason(model, guide, "M", "G") is None
-    kernel = load_fused(model, guide, "M", "G")  # must not raise NameError
+    kernel = load_mega(model, guide, "M", "G")  # must not raise NameError
 
     from repro.engine import make_particle_runner
 

@@ -1,26 +1,20 @@
-"""Unit tests for the megakernel tier: cache identity, path stamps,
-ledger elision, rescore delegation, and tier validation.
+"""Unit tests for the compiled kernel's mechanics: path stamps, ledger
+elision, and rescore delegation.
 
 Bitwise parity against the interpreter lives in
-``tests/conformance/test_backend_parity.py``; this file covers the tier's
+``tests/conformance/test_backend_parity.py``; this file covers the
 *mechanics* — the things that could silently go wrong without changing a
 single weight on the happy path.
 """
 
 import numpy as np
-import pytest
 
-from repro.compiler.codegen import FusedKernel, MegaKernel
 from repro.core.semantics import traces as tr
 from repro.engine.backend import (
-    MegaParticleRunner,
-    clear_kernel_cache,
-    fused_kernel_for,
+    CompiledParticleRunner,
     make_particle_runner,
     record_compiled_fallback,
-    validate_jit,
 )
-from repro.errors import InferenceError
 from repro.models import get_benchmark
 from repro.obs import REGISTRY
 
@@ -41,64 +35,17 @@ def _mega_runner(name="switching", **kwargs):
         obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
         guide_args=tuple(bench.guide_param_inits.values()),
         backend="compiled",
-        jit="mega",
         **pair,
         **kwargs,
     )
-    assert isinstance(runner, MegaParticleRunner)
+    assert isinstance(runner, CompiledParticleRunner)
     return runner
-
-
-def test_validate_jit_rejects_unknown_tiers():
-    assert validate_jit("none") == "none"
-    assert validate_jit("mega") == "mega"
-    with pytest.raises(InferenceError, match="unknown jit tier"):
-        validate_jit("cuda")
-    with pytest.raises(InferenceError, match="unknown jit tier"):
-        make_particle_runner(backend="compiled", jit="warp", **_bench_pair()[1])
-
-
-def test_kernel_cache_key_separates_jit_tiers():
-    """Regression: the kernel LRU used to key on program identity alone, so
-    whichever tier compiled first was served to *both* — a fused kernel
-    handed to a ``jit="mega"`` request (or vice versa).  The key now carries
-    the tier: same pair, different tiers, different kernels."""
-    _, pair = _bench_pair()
-    clear_kernel_cache()
-    try:
-        fused, reason_f = fused_kernel_for(jit="none", **pair)
-        mega, reason_m = fused_kernel_for(jit="mega", **pair)
-        assert reason_f is None and reason_m is None
-        assert isinstance(fused, FusedKernel)
-        assert isinstance(mega, MegaKernel)
-        # Each tier's second lookup is a *hit* on its own entry.
-        assert fused_kernel_for(jit="none", **pair)[0] is fused
-        assert fused_kernel_for(jit="mega", **pair)[0] is mega
-    finally:
-        clear_kernel_cache()
-
-
-def test_kernel_cache_key_carries_array_namespace(monkeypatch):
-    """A kernel compiled against one array namespace must not be served
-    after the namespace changes (generated code binds ``np`` from
-    :mod:`repro.xp` at load time)."""
-    from repro import xp
-
-    _, pair = _bench_pair()
-    clear_kernel_cache()
-    try:
-        before, _ = fused_kernel_for(jit="mega", **pair)
-        monkeypatch.setattr(xp, "active_namespace", lambda: "numpy+numba")
-        after, _ = fused_kernel_for(jit="mega", **pair)
-        assert after is not before
-    finally:
-        clear_kernel_cache()
 
 
 def test_mega_run_stamps_leaf_paths():
     runner = _mega_runner()
     run = runner.run(300, np.random.default_rng(4))
-    assert run.backend == "compiled" and run.jit == "mega"
+    assert run.backend == "compiled"
     pids = [leaf.mega_path for leaf in run.leaves]
     # One stamp per populated path; paths no particle took are dropped, so
     # pids are unique and in-range but not necessarily contiguous.

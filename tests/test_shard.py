@@ -101,6 +101,14 @@ def test_shared_memory_round_trip_preserves_leaves():
                     np.testing.assert_array_equal(m_a.payload, m_b.payload)
                 else:
                     assert m_a.payload == m_b.payload
+    # Compiled leaves keep their path stamps, so the parent can serve SVI
+    # rescoring from the compiled pass.
+    compiled = run_shard_task(_weight_task(count=2048, backend="compiled"))
+    stamps = [leaf.mega_path for leaf in compiled.leaves]
+    assert None not in stamps
+    packed = pack_result(compiled)
+    assert packed[0] == "shm"
+    assert [leaf.mega_path for leaf in unpack_result(packed).leaves] == stamps
 
 
 def test_shm_disabled_falls_back_to_pickle(monkeypatch):
@@ -209,7 +217,7 @@ def test_pool_rebuilds_are_capped_then_forgiven_by_shutdown():
         shard.shutdown_pool()
 
 
-def _sharded_runner(name, backend="interp", jit="none", shards=2):
+def _sharded_runner(name, backend="interp", shards=2):
     from repro.core.semantics import traces as tr
     from repro.engine.backend import make_particle_runner
 
@@ -222,34 +230,21 @@ def _sharded_runner(name, backend="interp", jit="none", shards=2):
         obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
         guide_args=tuple(bench.guide_param_inits.values()),
         backend=backend,
-        jit=jit,
         workers=1,
         shards=shards,
     )
 
 
-def test_shard_tasks_carry_the_jit_tier():
-    """Workers must execute the tier the parent resolved, not re-decide."""
-    runner = _sharded_runner("weight", backend="compiled", jit="mega")
-    assert runner.effective_backend == "compiled"
-    assert runner.jit == "mega"
-    wave = runner.prepare(32, np.random.default_rng(0))
-    for task in wave.tasks:
-        assert task.backend == "compiled"
-        assert task.jit == "mega"
-
-
 def test_gate_fallback_freezes_interp_tasks():
-    """A pair outside the fused fragment resolves to interp ONCE, at
+    """A pair outside the compiled fragment resolves to interp ONCE, at
     construction; the frozen task template never re-attempts compilation."""
-    runner = _sharded_runner("marsaglia", backend="compiled", jit="mega")
+    runner = _sharded_runner("marsaglia", backend="compiled")
     assert runner.requested_backend == "compiled"
     assert runner.effective_backend == "interp"
     assert "recursive" in runner.fallback_reason
     wave = runner.prepare(32, np.random.default_rng(0))
     for task in wave.tasks:
         assert task.backend == "interp"
-        assert task.jit == "none"
     run = runner.run(32, np.random.default_rng(0))
     assert "recursive" in run.fallback_reason
 
@@ -263,7 +258,7 @@ def test_fallback_state_is_consistent_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     for name, expect_backend in [("weight", "compiled"), ("marsaglia", "interp")]:
-        runner = _sharded_runner(name, backend="compiled", jit="mega")
+        runner = _sharded_runner(name, backend="compiled")
 
         def observe(_):
             return (runner.backend, runner.effective_backend, runner.fallback_reason)
