@@ -51,7 +51,7 @@ class HarnessOutcome:
 async def _estimate_capacity(
     service: InferenceService, config: LoadConfig, probe_s: float = 1.0, burst: int = 8
 ) -> float:
-    """Closed-loop probe of *sustained* capacity, coalescing included.
+    """Closed-loop probe of *sustained* capacity, wave collection included.
 
     Submits ``burst`` concurrent requests per round (so dispatch waves fill
     the same way they do under real traffic) until ``probe_s`` elapses;

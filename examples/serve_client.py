@@ -1,9 +1,9 @@
 """Batch-inference serving, end to end, in one process.
 
 Starts the async inference service, exposes it over the JSONL TCP protocol
-on an ephemeral port, submits a burst of concurrent requests for the same
-model/guide session (which the dispatcher coalesces into shared sharded
-runs), and prints the responses plus the server's throughput counters.
+on an ephemeral port, submits a burst of concurrent sharded requests for
+the same model/guide session, and prints the responses plus the server's
+throughput counters.
 
 Run with::
 
@@ -50,16 +50,15 @@ async def main() -> None:
         if "counters" in response:
             counters = response["counters"]
             print(
-                f"[{response['id']}] {counters['requests_total']} requests, "
-                f"{counters['coalesced_requests_total']} coalesced over "
-                f"{counters['batches_total']} batches"
+                f"[{response['id']}] {counters['requests_total']} requests "
+                f"over {counters['waves_total']} dispatch waves"
             )
         else:
             mean = response["posterior_means"]["0"]
-            batch = response["server"]["batch_size"]
+            latency_ms = response["server"]["latency_s"] * 1e3
             print(
                 f"[{response['id']}] ok={response['ok']} "
-                f"posterior mean {mean:.4f} (exact: 9.14), batch of {batch}"
+                f"posterior mean {mean:.4f} (exact: 9.14), {latency_ms:.1f}ms"
             )
 
     writer.close()

@@ -738,13 +738,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="worker processes in the shared shard pool")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="how long to hold a dispatch batch open so concurrent "
-                              "requests can coalesce into one sharded run")
+                         help="how long to wait after the first arrival before "
+                              "collecting a dispatch wave")
     p_serve.add_argument("--max-queue", type=int, default=256,
                          help="admitted requests allowed to wait for dispatch; "
                               "overflow is rejected immediately with code 'overloaded'")
     p_serve.add_argument("--max-batch", type=int, default=32,
-                         help="requests per dispatch wave (bounds coalesced-wave memory)")
+                         help="requests per dispatch wave, collected round-robin "
+                              "across tenants")
     p_serve.add_argument("--tenant-rate", type=float, default=None,
                          help="per-tenant admitted requests/second (token bucket; "
                               "default: quotas disabled)")

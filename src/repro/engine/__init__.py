@@ -34,10 +34,10 @@ simultaneously over NumPy arrays instead of N sequential interpreter runs:
     result transport, and merged exactly (results never depend on the
     worker count).
 ``server``
-    The async batch-inference service: a coalescing request queue over
-    sessions and shards with admission control (bounded queue, per-request
-    deadlines, per-tenant quotas + round-robin fairness), throughput/latency
-    counters, and a JSONL TCP front-end (CLI ``repro serve``).
+    The async inference service: a request queue over sessions and shards
+    with admission control (bounded queue, per-request deadlines,
+    per-tenant quotas + round-robin fairness), throughput/latency counters,
+    and a JSONL TCP front-end (CLI ``repro serve``).
 ``loadgen``
     Open-loop Poisson load generator for the server (CLI ``repro loadgen``):
     offered-rate traffic with mixed models/engines/tenants, latency

@@ -1,21 +1,18 @@
-"""Async batch-inference service: queueing, coalescing, and a TCP front-end.
+"""Async inference service: bounded queueing, fair waves, and a TCP front-end.
 
 :class:`InferenceService` is the serving layer the ROADMAP's north star asks
 for: callers submit JSON-shaped inference requests concurrently; a dispatcher
-drains the queue in batches, groups requests that target the same prepared
-:class:`~repro.engine.session.ProgramSession`, and executes each group on the
-sharded execution layer (:mod:`repro.engine.shard`) — importance-sampling
-requests for the same session are *coalesced*: their shard tasks are
-concatenated into one pool submission wave, so four concurrent requests cost
-one warm-pool round trip instead of four.  Coalescing only changes
-scheduling, never values: every request's shard plan and RNG streams are
-derived exactly as they would be for a solo run, and each request merges only
-its own shards.
+collects bounded waves from per-tenant queues and runs each wave in one
+worker-thread call that executes its members in collection order.  Every
+inference request goes through :func:`~repro.engine.api.run_engine` — the
+path :meth:`~repro.engine.session.ProgramSession.infer` takes — so a
+response depends only on its certified model/guide pair, seed and shard
+plan, never on what else was queued with it.
 
 The service is bounded and fair, not best-effort: admission control rejects
 work beyond ``max_queue`` immediately (error code ``overloaded``) instead of
 queueing unboundedly, per-request deadlines (``deadline_ms`` on the wire)
-shed expired requests *before* dispatch with ``deadline_exceeded`` — an
+shed expired requests *before* execution with ``deadline_exceeded`` — an
 expired request is never executed — per-tenant token buckets
 (``tenant_rate``/``tenant_burst``) cap each tenant's admitted rate
 (``quota_exceeded``), and the dispatcher collects each wave round-robin
@@ -45,9 +42,9 @@ import json
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
-from repro.engine.api import EngineResult, InferenceRequest, available_engines, run_engine
+from repro.engine.api import InferenceRequest, available_engines, run_engine
 from repro.engine.session import ProgramSession
 from repro.engine.streaming import (
     CODE_SESSION_EXPIRED,
@@ -57,7 +54,7 @@ from repro.engine.streaming import (
     StreamingError,
 )
 from repro.errors import InferenceError, ReproError
-from repro.obs import REGISTRY, HistogramValue, percentile_keys, span
+from repro.obs import REGISTRY, HistogramValue, percentile_keys
 
 _REQUESTS = REGISTRY.counter(
     "repro_requests_total",
@@ -74,22 +71,7 @@ _REQUEST_QUEUE_WAIT = REGISTRY.histogram(
 )
 _REQUEST_RUN = REGISTRY.histogram(
     "repro_request_run_seconds",
-    "Engine busy time attributed to each successful request (a coalesced "
-    "request accounts for its share of the wave, not the whole wave).",
-)
-_SERVER_BATCHES = REGISTRY.counter(
-    "repro_server_batches_total",
-    "Dispatch groups executed by the batching dispatcher.",
-)
-_SERVER_COALESCED = REGISTRY.counter(
-    "repro_server_coalesced_requests_total",
-    "Requests that shared a dispatch group with at least one other request "
-    "for the same session.",
-)
-_SERVER_BATCH_SIZE = REGISTRY.histogram(
-    "repro_server_batch_size",
-    "Requests per dispatch group (coalescing depth).",
-    buckets=(1, 2, 4, 8, 16, 32, 64, 128),
+    "Engine execution time of each successful request.",
 )
 _SERVER_PARTICLES = REGISTRY.counter(
     "repro_server_particles_total",
@@ -185,6 +167,9 @@ SHED_CODES = frozenset(
 #: Tenant requests fall back to this bucket when the payload names none.
 DEFAULT_TENANT = "default"
 
+#: Token-bucket table size below which full buckets are never pruned.
+_MIN_BUCKET_PRUNE = 64
+
 
 @dataclass
 class ServerCounters:
@@ -205,10 +190,6 @@ class ServerCounters:
 
     requests_total: int = 0
     failures_total: int = 0
-    batches_total: int = 0
-    #: Requests that shared a dispatch batch with at least one other request
-    #: for the same session (i.e. rode a coalesced wave).
-    coalesced_requests_total: int = 0
     particles_total: int = 0
     #: Requests the server declined to run, keyed by shed reason
     #: (``overloaded``, ``quota_exceeded``, ``deadline_exceeded``,
@@ -219,9 +200,6 @@ class ServerCounters:
     #: the max pins the ``max_batch`` bound.
     waves_total: int = 0
     wave_size_max: int = 0
-    queue_wait_s_total: float = 0.0
-    run_s_total: float = 0.0
-    latency_s_total: float = 0.0
     latency_s_max: float = 0.0
     started_at: float = field(default_factory=time.monotonic)
     latency_hist: HistogramValue = field(default_factory=HistogramValue, repr=False)
@@ -234,17 +212,12 @@ class ServerCounters:
         run_s: float,
         particles: int,
         ok: bool,
-        busy_s: Optional[float] = None,
         latency_s: Optional[float] = None,
     ) -> None:
         """Fold one finished request into the counters.
 
-        ``run_s`` is the request's perceived execution time (for latency);
-        ``busy_s``, when given, is its share of actual engine busy time —
-        requests that rode one coalesced wave each perceive the whole wave
-        but only account for a fraction of it, so throughput rates stay
-        honest.  ``latency_s`` is the measured enqueue-to-response time; it
-        covers validation and response serialisation too, so it is always
+        ``latency_s`` is the measured enqueue-to-response time; it covers
+        validation and response serialisation too, so it is always
         ``>= queue_wait_s + run_s`` (which remains the fallback when no
         measurement is passed).  Failures are tallied but kept out of the
         latency aggregates.
@@ -257,17 +230,13 @@ class ServerCounters:
             self.failures_total += 1
             return
         latency = (queue_wait_s + run_s) if latency_s is None else latency_s
-        busy = run_s if busy_s is None else busy_s
-        self.queue_wait_s_total += queue_wait_s
-        self.run_s_total += busy
-        self.latency_s_total += latency
         self.latency_s_max = max(self.latency_s_max, latency)
         self.latency_hist.observe(latency)
         self.queue_wait_hist.observe(queue_wait_s)
-        self.run_hist.observe(busy)
+        self.run_hist.observe(run_s)
         _REQUEST_LATENCY.observe(latency)
         _REQUEST_QUEUE_WAIT.observe(queue_wait_s)
-        _REQUEST_RUN.observe(busy)
+        _REQUEST_RUN.observe(run_s)
 
     def observe_shed(self, reason: str) -> None:
         """Record one request the server declined to run (``reason`` code)."""
@@ -276,15 +245,6 @@ class ServerCounters:
         self.shed_total[reason] = self.shed_total.get(reason, 0) + 1
         _REQUESTS.labels(status="shed").inc()
         _SERVER_SHED.labels(reason=reason).inc()
-
-    def observe_batch(self, group_size: int) -> None:
-        """Record one executed dispatch group of ``group_size`` requests."""
-        self.batches_total += 1
-        _SERVER_BATCHES.inc()
-        _SERVER_BATCH_SIZE.observe(group_size)
-        if group_size > 1:
-            self.coalesced_requests_total += group_size
-            _SERVER_COALESCED.inc(group_size)
 
     def observe_wave(self, wave_size: int) -> None:
         """Record one collected dispatch wave of ``wave_size`` requests."""
@@ -296,17 +256,15 @@ class ServerCounters:
         """The counters plus derived rates and percentiles, as one JSON dict.
 
         Means and percentiles cover successful requests only (see the class
-        docstring); the percentile keys (``latency_s_p50``/``p90``/``p99``
-        and friends) are histogram-derived estimates, ``nan`` until the
-        first success lands.
+        docstring) and come from the histograms' running totals; the
+        percentile keys (``latency_s_p50``/``p90``/``p99`` and friends) are
+        histogram-derived estimates, ``nan`` until the first success lands.
         """
         uptime = max(time.monotonic() - self.started_at, 1e-9)
-        succeeded = max(self.requests_total - self.failures_total, 1)
+        succeeded = max(self.run_hist.count, 1)
         out: Dict[str, object] = {
             "requests_total": self.requests_total,
             "failures_total": self.failures_total,
-            "batches_total": self.batches_total,
-            "coalesced_requests_total": self.coalesced_requests_total,
             "particles_total": self.particles_total,
             "shed_total": sum(self.shed_total.values()),
             "shed_by_reason": dict(self.shed_total),
@@ -314,10 +272,10 @@ class ServerCounters:
             "wave_size_max": self.wave_size_max,
             "uptime_s": uptime,
             "requests_per_s": self.requests_total / uptime,
-            "particles_per_s": self.particles_total / max(self.run_s_total, 1e-9),
-            "queue_wait_s_mean": self.queue_wait_s_total / succeeded,
-            "run_s_mean": self.run_s_total / succeeded,
-            "latency_s_mean": self.latency_s_total / succeeded,
+            "particles_per_s": self.particles_total / max(self.run_hist.total, 1e-9),
+            "queue_wait_s_mean": self.queue_wait_hist.total / succeeded,
+            "run_s_mean": self.run_hist.total / succeeded,
+            "latency_s_mean": self.latency_hist.total / succeeded,
             "latency_s_max": self.latency_s_max,
         }
         out.update(percentile_keys(self.latency_hist, "latency_s"))
@@ -345,7 +303,6 @@ class _Pending:
     deadline_at: Optional[float] = None
     enqueued_at: float = field(default_factory=time.monotonic)
     dispatched_at: float = 0.0
-    batch_size: int = 1
 
 
 class _TokenBucket:
@@ -359,25 +316,32 @@ class _TokenBucket:
         self.tokens = self.burst
         self.updated_at = now
 
+    def _level(self, now: float) -> float:
+        return min(self.burst, self.tokens + (now - self.updated_at) * self.rate)
+
     def try_take(self, now: float) -> bool:
         """Refill by elapsed time, then spend one token if available."""
-        self.tokens = min(self.burst, self.tokens + (now - self.updated_at) * self.rate)
+        self.tokens = self._level(now)
         self.updated_at = now
         if self.tokens >= 1.0:
             self.tokens -= 1.0
             return True
         return False
 
+    def is_full(self, now: float) -> bool:
+        """Whether the bucket has refilled to ``burst`` (a fresh bucket's state)."""
+        return self._level(now) >= self.burst
+
 
 class InferenceService:
-    """Coalescing batch-inference front-end over prepared program sessions.
+    """Inference front-end over prepared program sessions.
 
     ``workers`` sizes the shared shard pool (and is the default worker count
     for requests that do not pin their own); ``batch_window_s`` optionally
-    holds each dispatch batch open a little longer so concurrent callers can
-    land in the same wave.  ``max_queue`` bounds the number of admitted
-    requests waiting for dispatch (overflow is rejected with ``overloaded``),
-    ``max_batch`` bounds each dispatch wave, and ``tenant_rate`` /
+    waits a little after the first arrival before collecting a dispatch
+    wave.  ``max_queue`` bounds the number of admitted requests waiting for
+    dispatch (overflow is rejected with ``overloaded``), ``max_batch``
+    bounds each dispatch wave, and ``tenant_rate`` /
     ``tenant_burst`` enable a per-tenant token-bucket quota (``None``
     disables quotas).  Use as::
 
@@ -425,6 +389,7 @@ class InferenceService:
         self._queues: "OrderedDict[str, Deque[_Pending]]" = OrderedDict()
         self._queued = 0
         self._buckets: Dict[str, _TokenBucket] = {}
+        self._buckets_prune_at = _MIN_BUCKET_PRUNE
         self._inflight: "set[_Pending]" = set()
         self._wake: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -538,12 +503,7 @@ class InferenceService:
             raise InferenceError("service not started; call await service.start() first")
         now = time.monotonic()
         if self.tenant_rate is not None:
-            bucket = self._buckets.get(pending.tenant)
-            if bucket is None:
-                bucket = self._buckets[pending.tenant] = _TokenBucket(
-                    self.tenant_rate, self.tenant_burst, now
-                )
-            if not bucket.try_take(now):
+            if not self._take_token(pending.tenant, now):
                 return self._shed(
                     pending,
                     CODE_QUOTA_EXCEEDED,
@@ -568,6 +528,26 @@ class InferenceService:
         _SERVER_QUEUE_DEPTH.set(self._queued)
         self._wake.set()
         return await pending.future
+
+    def _take_token(self, tenant: str, now: float) -> bool:
+        """Spend one of ``tenant``'s quota tokens; ``False`` when none is left.
+
+        A bucket that has refilled to ``burst`` is indistinguishable from a
+        fresh one, so whenever the table doubles past its last size, full
+        buckets are dropped — the table tracks recently active tenants, not
+        every tenant ever seen, and no quota changes.
+        """
+        bucket = self._buckets.get(tenant)
+        if bucket is None:
+            if len(self._buckets) >= self._buckets_prune_at:
+                self._buckets = {
+                    name: kept for name, kept in self._buckets.items() if not kept.is_full(now)
+                }
+                self._buckets_prune_at = max(_MIN_BUCKET_PRUNE, 2 * len(self._buckets))
+            bucket = self._buckets[tenant] = _TokenBucket(
+                self.tenant_rate, self.tenant_burst, now
+            )
+        return bucket.try_take(now)
 
     def _shed(self, pending: _Pending, code: str, detail: str) -> Dict[str, object]:
         """Count and shape one admission-control rejection."""
@@ -699,49 +679,34 @@ class InferenceService:
         """Collect bounded waves from the tenant queues and execute them.
 
         Each wave takes at most ``max_batch`` requests, round-robin across
-        tenants, so a burst is served in bounded waves (bounded fused-wave
-        memory) and no tenant's backlog can monopolise dispatch.  On
-        cancellation (``stop()``), any wave already in hand resolves with a
-        structured ``shutting_down`` response instead of being abandoned.
+        tenants, so a burst is served in bounded waves and no tenant's
+        backlog can monopolise dispatch.  A wave runs in one worker-thread
+        call (:meth:`_run_wave`).  On cancellation (``stop()``), any wave
+        member not yet answered resolves with a structured
+        ``shutting_down`` response instead of being abandoned.
         """
         loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
             if self.batch_window_s:
                 await asyncio.sleep(self.batch_window_s)
-            batch = self._collect_wave()
+            wave = self._collect_wave()
             if not self._queued:
                 self._wake.clear()
-            if not batch:
+            if not wave:
                 continue
-            self.counters.observe_wave(len(batch))
+            self.counters.observe_wave(len(wave))
             now = time.monotonic()
-            for pending in batch:
+            for pending in wave:
                 pending.dispatched_at = now
-            self._inflight.update(batch)
+            self._inflight.update(wave)
             try:
-                for group in self._group(batch):
-                    self.counters.observe_batch(len(group))
-                    try:
-                        await loop.run_in_executor(None, self._run_group, group)
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 - dispatcher must survive
-                        # _run_group already shields per-request work; anything
-                        # escaping it is unexpected, but one poisoned group must
-                        # never wedge the dispatcher (and with it the server).
-                        for pending in group:
-                            _resolve_future(
-                                pending.future,
-                                self._error_response(
-                                    pending.payload, exc, code=CODE_ENGINE_ERROR
-                                ),
-                            )
+                await loop.run_in_executor(None, self._run_wave, wave)
             except asyncio.CancelledError:
-                # stop() raced a dispatch: the executor may or may not get to
-                # these futures, and _resolve_future is first-write-wins on
-                # the loop thread — either way each caller sees one response.
-                for pending in batch:
+                # stop() raced a dispatch: the worker thread may or may not
+                # get to these futures, and _resolve_future is first-write-wins
+                # on the loop thread — either way each caller sees one response.
+                for pending in wave:
                     if not pending.future.done():
                         self.counters.observe_shed(CODE_SHUTTING_DOWN)
                         _resolve_future(
@@ -753,8 +718,17 @@ class InferenceService:
                             ),
                         )
                 raise
+            except Exception as exc:  # noqa: BLE001 - dispatcher must survive
+                # _run_wave already shields per-request work; anything
+                # escaping it is unexpected, but one poisoned wave must never
+                # wedge the dispatcher (and with it the server).
+                for pending in wave:
+                    _resolve_future(
+                        pending.future,
+                        self._error_response(pending.payload, exc, code=CODE_ENGINE_ERROR),
+                    )
             finally:
-                self._inflight.difference_update(batch)
+                self._inflight.difference_update(wave)
 
     def _collect_wave(self) -> List[_Pending]:
         """Take up to ``max_batch`` queued requests, one per tenant per round.
@@ -803,161 +777,80 @@ class InferenceService:
         _SERVER_QUEUE_DEPTH.set(self._queued)
         return batch
 
-    def _group(self, batch: List[_Pending]) -> List[List[_Pending]]:
-        """Partition a batch into per-(session, engine, backend) groups.
+    def _run_wave(self, wave: List[_Pending]) -> None:
+        """Execute one collected wave, member by member (worker thread).
 
-        Session ops group by their session id instead: ops against one
-        streaming session execute sequentially in arrival order (a push must
-        never overtake the push before it), while ops against different
-        sessions still ride the same wave.
+        Members run in collection order, which keeps every tenant's — and so
+        every streaming session's — requests in arrival order.  Each
+        member's future resolves as soon as its own response exists.  The
+        deadline is checked just before each member runs — the last gate
+        before engine execution, so an expired request is never executed.
+        A member ``stop()`` has already answered (the cancelled dispatcher
+        resolves the rest of its wave with ``shutting_down``) is skipped.
         """
-        groups: Dict[Tuple, List[_Pending]] = {}
-        for pending in batch:
-            if pending.session_op is not None:
-                key = ("session", pending.payload.get("session_id") or id(pending))
-            else:
-                key = (id(pending.session), pending.engine, pending.request.backend)
-            groups.setdefault(key, []).append(pending)
-        for group in groups.values():
-            for pending in group:
-                pending.batch_size = len(group)
-        return list(groups.values())
-
-    def _run_group(self, group: List[_Pending]) -> None:
-        """Execute one same-session group (worker thread).
-
-        Importance-sampling groups with sharded members run as one fused
-        pool wave; everything else runs member by member.  Either way each
-        member's future resolves as soon as its own result exists.
-
-        A member whose deadline passed between wave collection and this
-        thread getting scheduled is shed here — the last gate before engine
-        execution, so an expired request is never executed.
-        """
-        live: List[_Pending] = []
-        now = time.monotonic()
-        for pending in group:
-            if pending.deadline_at is not None and now > pending.deadline_at:
+        for pending in wave:
+            future = pending.future
+            if future.done() and not future.cancelled():
+                continue
+            started = time.monotonic()
+            loop = future.get_loop()
+            if pending.deadline_at is not None and started > pending.deadline_at:
                 self.counters.observe_shed(CODE_DEADLINE_EXCEEDED)
                 response = self._error_response(
                     pending.payload,
                     InferenceError("deadline expired before execution"),
                     code=CODE_DEADLINE_EXCEEDED,
                 )
-                loop = pending.future.get_loop()
-                loop.call_soon_threadsafe(_resolve_future, pending.future, response)
-            else:
-                live.append(pending)
-        group = live
-        if not group:
-            return
-        if group[0].session_op is not None:
-            self._run_session_group(group)
-            return
-        wave_outcomes: Dict[int, object] = {}
-        wave_s = 0.0
-        if len(group) > 1 and group[0].engine == "is":
-            wave_started = time.monotonic()
-            try:
-                with span("server.coalesce", requests=len(group)):
-                    wave_outcomes = self._run_is_wave(group)
-            except Exception:  # noqa: BLE001 - wave is an optimisation only
-                wave_outcomes = {}  # fall through to member-by-member execution
-            wave_s = time.monotonic() - wave_started
-        wave_size = max(len(wave_outcomes), 1)
-        for i, pending in enumerate(group):
-            started = time.monotonic()
-            busy_s: Optional[float] = None
-            result: object = None
-            error: Optional[Exception] = None
-            if i in wave_outcomes:
-                outcome = wave_outcomes[i]
-                if isinstance(outcome, Exception):
-                    error = outcome
-                else:
-                    result = outcome
-                # Every wave member perceives the whole wave's wall time but
-                # accounts for only its share of engine busy time.
-                run_s = wave_s
-                busy_s = wave_s / wave_size
-            else:
-                try:
-                    result = run_engine(pending.engine, pending.session, pending.request)
-                except Exception as exc:  # noqa: BLE001 - reported per request
-                    error = exc
-                run_s = time.monotonic() - started
+                loop.call_soon_threadsafe(_resolve_future, future, response)
+                continue
             queue_wait = pending.dispatched_at - pending.enqueued_at
-            ok = error is None
             try:
-                particles = int(pending.request.num_particles)
-            except (TypeError, ValueError):
-                particles = 0
-            if ok:
-                try:
-                    response = self._result_response(pending, result, queue_wait, run_s)
-                except Exception as exc:  # noqa: BLE001 - reported per request
-                    ok = False
-                    response = self._error_response(
-                        pending.payload, exc, code=CODE_ENGINE_ERROR
-                    )
-            else:
-                response = self._error_response(pending.payload, error, code=CODE_ENGINE_ERROR)
+                response = {"id": pending.payload.get("id"), "ok": True}
+                response.update(self._execute(pending))
+                ok = True
+            except StreamingError as exc:
+                ok = False
+                response = self._error_response(pending.payload, exc, code=exc.code)
+            except Exception as exc:  # noqa: BLE001 - reported per request
+                ok = False
+                response = self._error_response(pending.payload, exc, code=CODE_ENGINE_ERROR)
+            run_s = time.monotonic() - started
             # Latency is measured arrival-to-response-built — it includes
             # validation and serialisation, not just queue_wait + run_s.
             latency_s = time.monotonic() - pending.enqueued_at
             if ok:
-                response["server"]["latency_s"] = latency_s
-            self.counters.observe(
-                queue_wait, run_s, particles, ok, busy_s=busy_s, latency_s=latency_s
-            )
-            loop = pending.future.get_loop()
-            loop.call_soon_threadsafe(_resolve_future, pending.future, response)
-
-    def _run_session_group(self, group: List[_Pending]) -> None:
-        """Execute one same-session group of ``session.*`` ops (worker thread).
-
-        Members run strictly in arrival order — the grouping key guarantees
-        every op against one session id lands in the same group, so a push
-        can never overtake the push before it.  Structured failures
-        (``session_not_found``/``session_expired``/``session_limit``/
-        ``invalid_request``) resolve the member's future like any other
-        error response; anything unexpected maps to ``engine_error``.
-        """
-        for pending in group:
-            started = time.monotonic()
-            ok = True
-            try:
-                body = self._execute_session_op(pending)
-                response: Dict[str, object] = {
-                    "id": pending.payload.get("id"),
-                    "ok": True,
-                    "op": pending.payload.get("op"),
-                }
-                response.update(_json_safe(body))
                 response["server"] = {
-                    "queue_wait_s": pending.dispatched_at - pending.enqueued_at,
-                    "run_s": time.monotonic() - started,
-                    "batch_size": pending.batch_size,
+                    "queue_wait_s": queue_wait,
+                    "run_s": run_s,
+                    "latency_s": latency_s,
                 }
-            except StreamingError as exc:
-                ok = False
-                response = self._error_response(pending.payload, exc, code=exc.code)
-            except (ReproError, ValueError, TypeError, KeyError) as exc:
-                ok = False
-                response = self._error_response(pending.payload, exc, code=CODE_ENGINE_ERROR)
-            run_s = time.monotonic() - started
-            latency_s = time.monotonic() - pending.enqueued_at
-            if ok:
-                response["server"]["latency_s"] = latency_s
             self.counters.observe(
-                pending.dispatched_at - pending.enqueued_at,
-                run_s,
-                0,
-                ok,
-                latency_s=latency_s,
+                queue_wait, run_s, _requested_particles(pending), ok, latency_s=latency_s
             )
-            loop = pending.future.get_loop()
-            loop.call_soon_threadsafe(_resolve_future, pending.future, response)
+            loop.call_soon_threadsafe(_resolve_future, future, response)
+
+    def _execute(self, pending: _Pending) -> Dict[str, object]:
+        """Run one inference request or session op; return its response body."""
+        if pending.session_op is not None:
+            body: Dict[str, object] = {"op": pending.payload.get("op")}
+            body.update(_json_safe(self._execute_session_op(pending)))
+            return body
+        result = run_engine(pending.engine, pending.session, pending.request)
+        means: Dict[str, float] = {}
+        for site in pending.sites:
+            try:
+                means[str(site)] = float(result.posterior_mean(site))
+            except ReproError:
+                means[str(site)] = None
+        log_evidence = result.log_evidence()
+        ess = result.effective_sample_size()
+        return {
+            "engine": pending.engine,
+            "posterior_means": means,
+            "log_evidence": None if log_evidence is None else float(log_evidence),
+            "effective_sample_size": None if ess is None else float(ess),
+            "diagnostics": _json_safe(result.diagnostics_with_metrics()),
+        }
 
     def _execute_session_op(self, pending: _Pending) -> Dict[str, object]:
         """Route one validated session op to the session table."""
@@ -977,98 +870,7 @@ class InferenceService:
             return self.sessions.close(tenant, session_id)
         raise InferenceError(f"unknown session op {op!r}")
 
-    def _run_is_wave(self, group: List[_Pending]) -> Dict[int, object]:
-        """Run a group of same-session ``is`` requests as one pool wave.
-
-        Every member's shard tasks are prepared exactly as a solo run would
-        prepare them (same seeds, same plan), concatenated into a single
-        ``execute_tasks`` call, and merged back per member — so coalescing
-        is invisible in the results, including the all-weights-zero guard a
-        solo ``vectorized_importance`` run applies (a failed member maps to
-        its :class:`InferenceError`).  Members whose plan has a single
-        shard are left for the sequential path.
-        """
-        import numpy as np
-
-        from repro.engine.api import ImportanceEngineResult
-        from repro.engine.backend import make_particle_runner
-        from repro.engine.shard import ShardedParticleRunner, execute_tasks
-        from repro.engine.vectorize import VectorizedISResult
-        from repro.utils.rng import ensure_rng
-
-        waves = []
-        for i, pending in enumerate(group):
-            session, request = pending.session, pending.request
-            runner = make_particle_runner(
-                session.model_program,
-                session.guide_program,
-                session.model_entry,
-                session.guide_entry,
-                obs_trace=request.resolved_obs_trace(),
-                model_args=request.model_args,
-                guide_args=request.guide_args,
-                latent_channel=session.latent_channel,
-                obs_channel=session.obs_channel,
-                backend=request.resolved_backend(),
-                session=session,
-                workers=request.workers,
-                shards=request.resolved_shards(),
-                trim_site_scores=True,  # mirror the solo IS path
-            )
-            if not isinstance(runner, ShardedParticleRunner):
-                continue
-            wave = runner.prepare(request.num_particles, ensure_rng(request.seed))
-            waves.append((i, runner, wave))
-        if not waves:
-            return {}
-        all_tasks = [task for _, _, wave in waves for task in wave.tasks]
-        shard_results = execute_tasks(all_tasks, self.workers)
-        out: Dict[int, object] = {}
-        cursor = 0
-        for i, runner, wave in waves:
-            chunk = shard_results[cursor : cursor + len(wave.tasks)]
-            cursor += len(wave.tasks)
-            run = wave.merge(chunk, runner.latent_channel, runner.obs_channel)
-            result = VectorizedISResult(run)
-            if not np.any(np.isfinite(result.log_weights)):
-                # Same guard (and message) as vectorized_importance's solo path.
-                out[i] = InferenceError(
-                    "all importance weights are zero: the guide's proposals never "
-                    "land in the model's support (the model/guide pair is not "
-                    "absolutely continuous)"
-                )
-            else:
-                out[i] = ImportanceEngineResult(result)
-        return out
-
     # -- response shaping --------------------------------------------------
-
-    def _result_response(
-        self, pending: _Pending, result: EngineResult, queue_wait_s: float, run_s: float
-    ) -> Dict[str, object]:
-        """Serialise one engine result into the wire response."""
-        means: Dict[str, float] = {}
-        for site in pending.sites:
-            try:
-                means[str(site)] = float(result.posterior_mean(site))
-            except ReproError:
-                means[str(site)] = None
-        log_evidence = result.log_evidence()
-        ess = result.effective_sample_size()
-        return {
-            "id": pending.payload.get("id"),
-            "ok": True,
-            "engine": pending.engine,
-            "posterior_means": means,
-            "log_evidence": None if log_evidence is None else float(log_evidence),
-            "effective_sample_size": None if ess is None else float(ess),
-            "diagnostics": _json_safe(result.diagnostics_with_metrics()),
-            "server": {
-                "queue_wait_s": queue_wait_s,
-                "run_s": run_s,
-                "batch_size": pending.batch_size,
-            },
-        }
 
     @staticmethod
     def _error_response(
@@ -1077,6 +879,14 @@ class InferenceService:
         """The ``ok: false`` wire response for one failed request."""
         return {"id": payload.get("id") if isinstance(payload, dict) else None,
                 "ok": False, "error": str(exc), "code": code}
+
+
+def _requested_particles(pending: _Pending) -> int:
+    """The particle count a request asked for (0 for session ops or junk)."""
+    try:
+        return int(pending.request.num_particles)
+    except (AttributeError, TypeError, ValueError):
+        return 0
 
 
 def _resolve_future(future: "asyncio.Future", response: Dict[str, object]) -> None:
@@ -1112,12 +922,20 @@ async def _handle_connection(
 ) -> None:
     """Serve one client connection: a JSON object per line, answers by ``id``."""
     write_lock = asyncio.Lock()
-    tasks: List[asyncio.Task] = []
+    #: Lines still being handled; a finished task drops itself.
+    tasks: "set[asyncio.Task]" = set()
 
     async def respond(response: Dict[str, object]) -> None:
         async with write_lock:
             writer.write(json.dumps(response).encode("utf-8") + b"\n")
             await writer.drain()
+
+    def spawn(line: bytes) -> None:
+        # A helper, not a local in the read loop: a loop variable would keep
+        # the latest task alive after it finishes.
+        task = asyncio.create_task(handle_line(line))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
 
     async def handle_line(line: bytes) -> None:
         try:
@@ -1149,20 +967,22 @@ async def _handle_connection(
                            "code": CODE_INVALID_REQUEST})
 
     cancelled = False
+    first_line = True
     try:
         while True:
             line = await reader.readline()
             if not line:
                 break
-            if line.startswith(b"GET ") and not tasks:
+            if first_line and line.startswith(b"GET "):
                 # A Prometheus scraper (or curl) speaking HTTP on the JSONL
                 # port: answer the one request and close, as HTTP/1.0 does.
                 await _serve_http_scrape(reader, writer, line)
                 break
+            first_line = False
             if line.strip():
-                # Handle each line concurrently so requests on one connection
-                # can coalesce into the same dispatch batch.
-                tasks.append(asyncio.create_task(handle_line(line)))
+                # Handle each line in its own task so a slow request never
+                # blocks the lines behind it on the same connection.
+                spawn(line)
     except asyncio.CancelledError:
         cancelled = True
         raise

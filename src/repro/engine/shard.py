@@ -41,7 +41,6 @@ parallelism — so sharding never *fails*, it only degrades.
 from __future__ import annotations
 
 import atexit
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -94,11 +93,6 @@ _POOL_EVENTS = REGISTRY.counter(
 #: Arrays smaller than this (total bytes per shard result) are returned
 #: through the pickle pipe; shared memory only pays for itself beyond it.
 SHM_MIN_BYTES = 1 << 15
-
-
-def shm_enabled() -> bool:
-    """Whether shard results may travel through POSIX shared memory."""
-    return os.environ.get("REPRO_SHARD_SHM", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +328,6 @@ def pack_result(result: ShardResult) -> Tuple[str, object, object]:
     structural skeleton.  Falls back to pickling whenever shared memory is
     unavailable.
     """
-    if not shm_enabled():
-        return ("pickle", result, None)
     packer = _ArrayPacker()
     manifest = replace(
         result,
@@ -621,12 +613,7 @@ def execute_tasks(tasks: Sequence[ShardTask], workers: int) -> List[ShardResult]
 
 @dataclass
 class ShardWave:
-    """The prepared tasks and layout of one sharded run (before execution).
-
-    The serving layer coalesces several requests by concatenating their
-    waves' tasks into a single pool submission; each wave then merges its own
-    shard results, so batching changes scheduling only, never values.
-    """
+    """The tasks and layout of one sharded run: what :meth:`merge` reassembles."""
 
     num_particles: int
     tasks: List[ShardTask] = field(default_factory=list)
@@ -759,41 +746,38 @@ class ShardedParticleRunner:
         """The backend the underlying runners execute (after fallback)."""
         return self.effective_backend
 
-    def prepare(self, num_particles: int, rng: np.random.Generator) -> ShardWave:
-        """Build the shard tasks for one run without executing them.
-
-        Consumes exactly one draw from ``rng`` (to derive the shard streams),
-        independent of worker count — see the module determinism contract.
-        """
-        spans = plan_shards(num_particles, self.num_shards)
-        seeds = derive_shard_seeds(rng, len(spans))
-        recorder = obs_trace_mod.current_recorder()
-        tracing = obs_trace_mod.tracing_enabled() and recorder is not None
-        tasks = [
-            replace(
-                self._task_template,
-                count=count,
-                start=start,
-                seed=seed,
-                index=k,
-                trace=tracing,
-                trace_epoch=recorder.epoch if tracing else 0.0,
-            )
-            for k, ((start, count), seed) in enumerate(zip(spans, seeds))
-        ]
-        return ShardWave(num_particles=num_particles, tasks=tasks)
-
     def run(self, num_particles: int, rng=None) -> VectorRunResult:
         """Run ``num_particles`` particles across the shard plan and merge.
 
         With a single shard this delegates to the in-process runner on the
-        caller's generator — bit-identical to the unsharded path.
+        caller's generator — bit-identical to the unsharded path.  Otherwise
+        it consumes exactly one draw from ``rng`` (to derive the shard
+        streams), independent of worker count — see the module determinism
+        contract.
         """
         rng = ensure_rng(rng)
         if self.num_shards == 1 or num_particles == 1:
             run = self.local.run(num_particles, rng)
         else:
-            wave = self.prepare(num_particles, rng)
+            spans = plan_shards(num_particles, self.num_shards)
+            seeds = derive_shard_seeds(rng, len(spans))
+            recorder = obs_trace_mod.current_recorder()
+            tracing = obs_trace_mod.tracing_enabled() and recorder is not None
+            wave = ShardWave(
+                num_particles=num_particles,
+                tasks=[
+                    replace(
+                        self._task_template,
+                        count=count,
+                        start=start,
+                        seed=seed,
+                        index=k,
+                        trace=tracing,
+                        trace_epoch=recorder.epoch if tracing else 0.0,
+                    )
+                    for k, ((start, count), seed) in enumerate(zip(spans, seeds))
+                ],
+            )
             results = execute_tasks(wave.tasks, self.workers)
             run = wave.merge(results, self.latent_channel, self.obs_channel)
         # A gate-level fallback (unsupported fragment) is resolved here at

@@ -60,11 +60,15 @@ class TestFailureAccounting:
         assert snap["latency_s_mean"] == 0.0
         json.dumps(snap)  # NaN percentiles must not break serialisation
 
-    def test_busy_share_accounting_skips_failures(self):
+    def test_run_time_accounting_skips_failures(self):
         counters = ServerCounters()
-        counters.observe(0.0, 2.0, 100, ok=True, busy_s=0.5)
-        assert counters.run_s_total == pytest.approx(0.5)
-        assert counters.latency_s_total == pytest.approx(2.0)
+        counters.observe(0.0, 2.0, 100, ok=True)
+        counters.observe(0.0, 3.0, 50, ok=False)
+        snap = counters.snapshot()
+        assert counters.run_hist.total == pytest.approx(2.0)
+        assert snap["run_s_mean"] == pytest.approx(2.0)
+        # Every requested particle counts, over successful run time only.
+        assert snap["particles_per_s"] == pytest.approx(150 / 2.0)
 
 
 class TestPercentiles:
@@ -81,19 +85,11 @@ class TestPercentiles:
     def test_legacy_keys_survive(self):
         snap = ServerCounters().snapshot()
         legacy = {
-            "requests_total", "failures_total", "batches_total",
-            "coalesced_requests_total", "particles_total", "uptime_s",
+            "requests_total", "failures_total", "particles_total", "uptime_s",
             "requests_per_s", "particles_per_s", "queue_wait_s_mean",
             "run_s_mean", "latency_s_mean", "latency_s_max",
         }
         assert legacy <= set(snap)
-
-    def test_observe_batch_tracks_groups_and_coalescing(self):
-        counters = ServerCounters()
-        counters.observe_batch(1)
-        counters.observe_batch(3)
-        assert counters.batches_total == 2
-        assert counters.coalesced_requests_total == 3
 
 
 async def _serving(run, workers=1):
@@ -179,7 +175,7 @@ class TestMetricsSurface:
         for family in (
             "repro_requests_total", "repro_request_latency_seconds_bucket",
             "repro_engine_run_seconds", "repro_session_cache_total",
-            "repro_server_batches_total",
+            "repro_server_wave_size",
         ):
             assert family in text
         assert 'repro_requests_total{status="ok"}' in text

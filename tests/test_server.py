@@ -1,7 +1,9 @@
-"""The async batch-inference service: coalescing, counters, TCP protocol."""
+"""The async inference service: concurrent requests, counters, TCP protocol."""
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -52,24 +54,38 @@ class TestSubmit:
         assert response["log_evidence"] is not None
         assert response["server"]["run_s"] >= 0.0
 
-    def test_coalesced_requests_match_solo_runs(self):
-        """Batched scheduling never changes values: every coalesced response
-        equals the same request submitted alone."""
+    @staticmethod
+    def _assert_concurrent_matches_solo(workers, shards):
+        """Concurrent same-session requests sharing a wave return exactly
+        what the same requests return submitted alone."""
 
-        async def batched(service):
-            return await asyncio.gather(
-                *[service.submit(_payload(seed=s, request_id=f"r{s}")) for s in range(3)]
+        def payload(seed, request_id=None):
+            request = _payload(seed=seed, request_id=request_id)
+            request["params"]["shards"] = shards
+            return request
+
+        async def concurrent(service):
+            responses = await asyncio.gather(
+                *[service.submit(payload(s, request_id=f"r{s}")) for s in range(3)]
             )
+            return responses, service.counters.waves_total
 
         async def solo(service):
-            return [await service.submit(_payload(seed=s)) for s in range(3)]
+            return [await service.submit(payload(s)) for s in range(3)]
 
-        together = asyncio.run(_with_service(batched))
-        alone = asyncio.run(_with_service(solo, batch_window_s=0.0))
-        assert any(r["server"]["batch_size"] > 1 for r in together)
+        (together, waves) = asyncio.run(_with_service(concurrent, workers=workers))
+        alone = asyncio.run(_with_service(solo, workers=workers, batch_window_s=0.0))
+        assert waves < len(together)  # the burst really shared a wave
         for got, want in zip(together, alone):
+            assert got["ok"] and want["ok"]
             assert got["posterior_means"] == want["posterior_means"]
             assert got["log_evidence"] == want["log_evidence"]
+
+    def test_concurrent_requests_match_solo_runs(self):
+        self._assert_concurrent_matches_solo(workers=1, shards=1)
+
+    def test_concurrent_sharded_requests_match_solo_runs_on_the_pool(self):
+        self._assert_concurrent_matches_solo(workers=2, shards=2)
 
     def test_mixed_engines_in_one_batch(self):
         async def go(service):
@@ -156,7 +172,7 @@ class TestCounters:
         assert snap["requests_total"] == 4
         assert snap["failures_total"] == 1
         assert snap["particles_total"] == 3 * 400
-        assert snap["batches_total"] >= 1
+        assert 1 <= snap["waves_total"] <= 4
         assert snap["latency_s_max"] >= snap["queue_wait_s_mean"]
         assert snap["requests_per_s"] > 0
 
@@ -192,6 +208,48 @@ class TestTCP:
         assert not by_id["w"]["ok"] and "unknown op" in by_id["w"]["error"]
 
 
+    def test_connection_holds_only_unfinished_line_tasks(self, monkeypatch):
+        """Finished per-line tasks are released as they complete, so a
+        long-lived connection holds only the requests still in flight."""
+        from repro.engine import server as server_mod
+
+        line_tasks = []
+        create_task = asyncio.create_task
+
+        def recording_create_task(coro, **kwargs):
+            task = create_task(coro, **kwargs)
+            if getattr(coro, "__name__", "") == "handle_line":
+                line_tasks.append(weakref.ref(task))
+            return task
+
+        monkeypatch.setattr(server_mod.asyncio, "create_task", recording_create_task)
+
+        async def go(service):
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for i in range(8):
+                request = _payload(seed=i, request_id=f"n{i}", particles=50)
+                writer.write((json.dumps(request) + "\n").encode())
+            await writer.drain()
+            responses = [json.loads(await reader.readline()) for _ in range(8)]
+            for _ in range(3):  # let the done callbacks run
+                await asyncio.sleep(0)
+            gc.collect()
+            # The connection is still open: anything still referenced is
+            # held by its handler.
+            held = [ref() for ref in line_tasks if ref() is not None]
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return responses, len(line_tasks), held
+
+        responses, spawned, held = asyncio.run(_with_service(go))
+        assert all(r["ok"] for r in responses)
+        assert spawned == 8
+        assert all(not task.done() for task in held)
+
+
 def test_serve_subcommand_registered():
     """The CLI exposes the server with its shard controls."""
     from repro.cli import build_parser
@@ -220,9 +278,9 @@ class TestResilience:
         assert not first["ok"] and "error" in first
         assert second["ok"]
 
-    def test_coalesced_zero_weight_requests_fail_like_solo_runs(self):
-        """The fused wave applies the same all-weights-zero guard as a solo
-        vectorized_importance run."""
+    def test_concurrent_zero_weight_requests_fail_like_solo_runs(self):
+        """Concurrent sharded requests hit the same all-weights-zero guard as
+        a solo vectorized_importance run."""
         model = """
         proc M() consume latent provide obs {
           v <- sample.recv{latent}(Beta(2.0, 2.0));
@@ -245,7 +303,7 @@ class TestResilience:
                            "obs_values": [0.5], "shards": 4},
             }
 
-        async def coalesced(service):
+        async def concurrent(service):
             return await asyncio.gather(
                 service.submit(payload(0)), service.submit(payload(1))
             )
@@ -253,7 +311,7 @@ class TestResilience:
         async def solo(service):
             return [await service.submit(payload(0))]
 
-        together = asyncio.run(_with_service(coalesced))
+        together = asyncio.run(_with_service(concurrent))
         alone = asyncio.run(_with_service(solo, batch_window_s=0.0))
         assert not alone[0]["ok"] and "weights are zero" in alone[0]["error"]
         for response in together:

@@ -11,6 +11,7 @@ enforcement for the kernel/session caches.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.engine.server import (
     serve_tcp,
 )
 from repro.models import get_benchmark
+from repro.obs import REGISTRY
 
 BENCH = get_benchmark("weight")
 
@@ -101,21 +103,21 @@ class TestDeadlines:
                 await _send(writer, _payload(request_id="warm"))
                 warm = await _recv(reader)
                 assert warm["ok"], warm
-                batches_before = service.counters.batches_total
+                mark = REGISTRY.mark()
                 await _send(writer, _payload(request_id="doomed", deadline_ms=50))
                 response = await _recv(reader)
-                return service, response, batches_before
+                return service, response, REGISTRY.delta(mark)
             finally:
                 await _close(server, writer)
                 await service.stop()
 
-        service, response, batches_before = asyncio.run(go())
+        service, response, moved = asyncio.run(go())
         assert response["id"] == "doomed"
         assert response["ok"] is False
         assert response["code"] == CODE_DEADLINE_EXCEEDED
         assert "while queued" in response["error"]
-        # The engine never ran it: no new dispatch batch was executed.
-        assert service.counters.batches_total == batches_before
+        # The engine never ran it: no engine run was timed after the warm-up.
+        assert not [k for k in moved if k.startswith("repro_engine_run_seconds")]
         assert service.counters.shed_total[CODE_DEADLINE_EXCEEDED] == 1
 
     def test_expired_deadline_rejected_at_admission(self):
@@ -237,6 +239,32 @@ class TestQuotas:
             assert "tenant-a" in r["error"]
         assert b_response["ok"], "tenant-b must not pay for tenant-a's burst"
 
+    def test_bucket_table_stays_bounded_across_one_request_tenants(self):
+        """A refilled bucket equals a fresh one, so full buckets are dropped:
+        10k one-request tenants leave the table bounded, and an over-quota
+        tenant is still shed."""
+
+        async def go():
+            service = await _start_service(tenant_rate=1.0, tenant_burst=1)
+            try:
+                # One request per tenant, 10ms apart, ending now: each bucket
+                # refills one second (100 tenants) after its only request.
+                start = time.monotonic() - 100.0
+                for i in range(10_000):
+                    assert service._take_token(f"one-shot-{i}", start + i * 0.01)
+                table = len(service._buckets)
+                first = await service.submit(_payload(request_id="h0", tenant="hog"))
+                second = await service.submit(_payload(request_id="h1", tenant="hog"))
+                return table, first, second
+            finally:
+                await service.stop()
+
+        table, first, second = asyncio.run(go())
+        assert table <= 256
+        assert first["ok"], first
+        assert second["ok"] is False
+        assert second["code"] == CODE_QUOTA_EXCEEDED
+
     def test_invalid_tenant_is_invalid_request(self):
         async def go():
             service = await _start_service()
@@ -337,11 +365,11 @@ class TestLatencyInvariant:
     def test_observe_uses_measured_latency_not_the_sum(self):
         counters = ServerCounters()
         counters.observe(0.1, 0.2, 10, ok=True, latency_s=0.5)
-        assert counters.latency_s_total == pytest.approx(0.5)
+        assert counters.latency_hist.total == pytest.approx(0.5)
         assert counters.latency_s_max == pytest.approx(0.5)
         # Sum fallback still applies when no measurement is passed.
         counters.observe(0.1, 0.2, 10, ok=True)
-        assert counters.latency_s_total == pytest.approx(0.8)
+        assert counters.latency_hist.total == pytest.approx(0.8)
 
     def test_response_latency_covers_queue_wait_plus_run(self):
         """The measured enqueue-to-response latency is always >= the sum of
@@ -359,8 +387,8 @@ class TestLatencyInvariant:
         assert response["ok"], response
         server = response["server"]
         assert server["latency_s"] >= server["queue_wait_s"] + server["run_s"]
-        assert counters.latency_s_total >= (
-            counters.queue_wait_s_total + counters.run_s_total
+        assert counters.latency_hist.total >= (
+            counters.queue_wait_hist.total + counters.run_hist.total
         )
 
 

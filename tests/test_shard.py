@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine import ProgramSession
+from repro.engine import shard as shard_mod
 from repro.engine.shard import (
+    SHM_MIN_BYTES,
     ShardTask,
     derive_shard_seeds,
     execute_tasks,
@@ -112,11 +114,26 @@ def test_shared_memory_round_trip_preserves_leaves():
 
 
 def test_shm_disabled_falls_back_to_pickle(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_SHM", "0")
-    result = run_shard_task(_weight_task(count=8))
-    kind, payload, name = pack_result(result)
-    assert kind == "pickle" and payload is result and name is None
-    assert unpack_result((kind, payload, name)) is result
+    """A result under ``SHM_MIN_BYTES`` takes the pickle pipe, and so does
+    any result when shared memory is unavailable."""
+    small = run_shard_task(_weight_task(count=8))
+    kind, payload, name = pack_result(small)
+    assert kind == "pickle" and name is None
+    assert 0 < payload.payload_bytes < SHM_MIN_BYTES
+    assert unpack_result((kind, payload, name)) is payload
+    np.testing.assert_array_equal(
+        payload.leaves[0].model_log_weights, small.leaves[0].model_log_weights
+    )
+
+    from multiprocessing import shared_memory
+
+    def unavailable(*args, **kwargs):
+        raise OSError("no shared memory here")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
+    large = run_shard_task(_weight_task(count=2048))
+    kind, payload, name = pack_result(large)
+    assert kind == "pickle" and payload is large and name is None
 
 
 def test_pool_and_inline_execution_agree():
@@ -235,17 +252,24 @@ def _sharded_runner(name, backend="interp", shards=2):
     )
 
 
-def test_gate_fallback_freezes_interp_tasks():
+def test_gate_fallback_freezes_interp_tasks(monkeypatch):
     """A pair outside the compiled fragment resolves to interp ONCE, at
     construction; the frozen task template never re-attempts compilation."""
     runner = _sharded_runner("marsaglia", backend="compiled")
     assert runner.requested_backend == "compiled"
     assert runner.effective_backend == "interp"
     assert "recursive" in runner.fallback_reason
-    wave = runner.prepare(32, np.random.default_rng(0))
-    for task in wave.tasks:
-        assert task.backend == "interp"
+    submitted = []
+
+    def recording_execute(tasks, workers):
+        submitted.extend(tasks)
+        return execute_tasks(tasks, workers)
+
+    monkeypatch.setattr(shard_mod, "execute_tasks", recording_execute)
     run = runner.run(32, np.random.default_rng(0))
+    assert len(submitted) == 2
+    for task in submitted:
+        assert task.backend == "interp"
     assert "recursive" in run.fallback_reason
 
 
