@@ -12,12 +12,16 @@ Table-2 benchmark model (``ex-1``, the paper's Fig. 5 pair):
   path amortises to well under 1us/particle);
 * both paths agree on the posterior mean and log evidence;
 * the SMC engine recovers the Fig. 2 posterior within the same tolerance
-  the existing importance-sampling reproducibility test uses (0.3).
+  the existing importance-sampling reproducibility test uses (0.3);
+* SMC's own work around the particle runner (weights, evidence, ESS,
+  resampling, rejuvenation bookkeeping) stays under 40% of an SMC run on
+  the ``lr`` model with the compiled backend.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.core.semantics import traces as tr
 from repro.engine import smc, vectorized_importance
 from repro.inference import importance_sampling
 from repro.models import get_benchmark
+from repro.obs.trace import disable_tracing, enable_tracing
 
 #: The CI fast-benchmark smoke job sets REPRO_FAST_BENCH=1 to run with
 #: reduced particle counts; the speedup margin is ~2 orders of magnitude, so
@@ -37,6 +42,12 @@ MIN_SPEEDUP = 5.0
 #: Agreement tolerance between estimators — the same |Δmean| the existing
 #: Fig. 2 cross-seed reproducibility test allows between two IS runs.
 MEAN_TOLERANCE = 0.3
+#: Population size of the SMC self-share measurement: large enough that the
+#: per-step array passes, not the per-step Python overhead, are what it sees.
+SMC_SHARE_PARTICLES = 30_000 if os.environ.get("REPRO_FAST_BENCH") else 100_000
+#: Ceiling on SMC's self share; a per-leaf scatter of the score matrix, two
+#: normalisations per step and an O(n log n) resampler read about 0.55.
+MAX_SMC_SELF_SHARE = 0.40
 
 
 def _pair():
@@ -137,3 +148,40 @@ def test_smc_recovers_fig2_posterior():
     # shifts above the Gamma(2,1) prior mean of 2.0.
     assert smc_mean > 2.0 + 0.2
     assert smc_result.log_evidence() == pytest.approx(is_result.log_evidence(), abs=0.2)
+
+
+def test_smc_self_share_on_lr_compiled():
+    """SMC's self time (its wall minus the runner's) is at most 40% of it."""
+    bench = get_benchmark("lr")
+    args = (bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry)
+    obs = tuple(tr.ValP(v) for v in bench.obs_values)
+    smc(*args, obs_trace=obs, num_particles=100, backend="compiled")  # compile once
+
+    best = None
+    for seed in range(3):
+        # The smc.sample spans time exactly the particle runner's passes.
+        recorder = enable_tracing()
+        started = time.perf_counter()
+        try:
+            result = smc(
+                *args, obs_trace=obs, num_particles=SMC_SHARE_PARTICLES,
+                rng=np.random.default_rng(seed), backend="compiled",
+            )
+        finally:
+            wall = time.perf_counter() - started
+            disable_tracing()
+        runner = sum(e["dur"] for e in recorder.events if e["name"] == "smc.sample") / 1e6
+        if best is None or wall - runner < best[0] - best[1]:
+            best = (wall, runner, len(result.resample_steps))
+    wall, runner, resamples = best
+    share = (wall - runner) / wall
+    print(
+        f"\nlr smc @ {SMC_SHARE_PARTICLES} particles (compiled): {wall*1e3:.1f}ms, "
+        f"runner {runner*1e3:.1f}ms, self share {share:.2f} ({resamples} resamples)"
+    )
+    _record.record(
+        suite="engine_throughput", model="lr", engine="smc", backend="compiled",
+        particles=SMC_SHARE_PARTICLES, wall_time_s=wall,
+        runner_wall_time_s=runner, smc_self_share=share, resamples=resamples,
+    )
+    assert share <= MAX_SMC_SELF_SHARE

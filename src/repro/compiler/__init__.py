@@ -21,7 +21,7 @@ from repro.compiler.codegen import (
     MegaKernel,
     compile_pair,
     compile_program,
-    fused_unsupported_reason,
+    compiled_unsupported_reason,
     load_compiled,
     load_mega,
 )
@@ -34,7 +34,7 @@ from repro.compiler.runtime import (
 
 __all__ = [
     "MegaKernel",
-    "fused_unsupported_reason",
+    "compiled_unsupported_reason",
     "load_mega",
     "compile_program",
     "compile_pair",

@@ -420,7 +420,7 @@ def svi(obs_values=None, num_steps=50, num_particles=2, learning_rate=0.05, seed
 #
 # Programs outside the supported fragment — recursion, higher-order
 # functions, first-class distributions — are rejected by
-# :func:`fused_unsupported_reason` and fall back to the interpretive
+# :func:`compiled_unsupported_reason` and fall back to the interpretive
 # vectorizer.  The emitted code is bitwise-compatible with the interpretive
 # backend: same RNG calls in the same order, same density kernels (masked
 # checks dropped only when value provenance proves them to be the
@@ -661,7 +661,7 @@ def _expr_fragment_reason(expr: ast.Expr, is_dist_position: bool) -> Optional[st
     return next(filter(None, (_expr_fragment_reason(c, False) for c in children)), None)
 
 
-def fused_unsupported_reason(
+def compiled_unsupported_reason(
     model_program: ast.Program,
     guide_program: ast.Program,
     model_entry: str,
@@ -1851,10 +1851,10 @@ def load_mega(
     """Compile and load a pair's forward kernel (rescore compiles on first use).
 
     Raises :class:`CompilationError` when the pair uses features outside the
-    compiled fragment (see :func:`fused_unsupported_reason`); callers fall
+    compiled fragment (see :func:`compiled_unsupported_reason`); callers fall
     back to the interpretive vectorizer then.
     """
-    reason = fused_unsupported_reason(
+    reason = compiled_unsupported_reason(
         model_program, guide_program, model_entry, guide_entry,
         latent_channel=latent_channel, obs_channel=obs_channel,
     )

@@ -305,7 +305,7 @@ def make_particle_runner(
     )
     if backend == "compiled":
         if session is not None:
-            kernel, reason = session.fused_kernel()
+            kernel, reason = session.compiled_kernel()
         else:
             kernel, reason = fused_kernel_for(
                 model_program, guide_program, model_entry, guide_entry,

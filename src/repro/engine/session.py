@@ -86,10 +86,10 @@ class ProgramSession:
 
         self._model_guide_types = None
         self._guide_guide_types = None
-        #: ``(kernel, reason)`` memo, filled in lazily by :meth:`fused_kernel`.
+        #: ``(kernel, reason)`` memo, filled in lazily by :meth:`compiled_kernel`.
         self._kernel_entry = None
         #: Compiled-backend feature check, filled in lazily by
-        #: :meth:`fused_kernel`: ``None`` until a compiled-backend request
+        #: :meth:`compiled_kernel`: ``None`` until a compiled-backend request
         #: arrives, then ``True``/``False``.
         self.compiled_backend_supported: Optional[bool] = None
         #: Why the compiled backend fell back to the interpreter (``None``
@@ -151,7 +151,7 @@ class ProgramSession:
 
     # -- compiled backend ------------------------------------------------------
 
-    def fused_kernel(self):
+    def compiled_kernel(self):
         """The pair's compiled batched kernel, compiled once and cached.
 
         Returns ``(kernel, None)`` when the pair is inside the compiled

@@ -55,35 +55,76 @@ _SMC_RESAMPLES = REGISTRY.counter(
 )
 from repro.utils.numerics import (
     effective_sample_size,
-    log_mean_exp,
+    ess_of_normalized,
     log_sum_exp,
     normalize_log_weights,
+    normalize_with_log_total,
     weighted_mean,
 )
 from repro.utils.rng import ensure_rng
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Systematic resampling: ``n`` ancestor indices from normalised weights."""
+    """Systematic resampling: ``n`` ancestor indices from normalised weights.
+
+    The ancestors are exactly ``np.searchsorted(cumulative, positions)`` for
+    the positions ``(u + k) / n``, computed in O(n) instead of O(n log n).
+    For each cumulative weight ``c`` the number of positions at or below it
+    is estimated as ``trunc(c·n + 1 − u)`` and then corrected with the same
+    float comparisons a search makes; position ``k`` then descends from the
+    number of particles whose count is at most ``k``.
+    """
     n = len(weights)
-    positions = (rng.random() + np.arange(n)) / n
+    u = rng.random()
+    # bounds = [-inf, positions..., inf]; the arithmetic is (u + k) / n.
+    bounds = np.empty(n + 2)
+    bounds[0], bounds[-1] = -np.inf, np.inf
+    positions = bounds[1:-1]
+    positions[:] = np.arange(n)
+    positions += u
+    positions /= n
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0  # guard against floating-point shortfall
-    return np.searchsorted(cumulative, positions)
+    if n < 2 or not cumulative[-2] <= 1.0:
+        # The guard left the edges unsorted (or a weight is nan): only the
+        # search itself defines the answer.
+        return np.searchsorted(cumulative, positions)
+    # counts[i] = #{k : positions[k] <= cumulative[i]}, the unique m with
+    # bounds[m] <= cumulative[i] < bounds[m + 1].
+    scratch = cumulative * n
+    scratch += 1.0 - u
+    counts = scratch.astype(np.intp)
+    np.clip(counts, 0, n, out=counts)
+    while True:
+        over = bounds.take(counts, out=scratch) > cumulative
+        under = bounds[1:].take(counts, out=scratch) <= cumulative
+        if not (over.any() or under.any()):
+            break
+        counts -= over
+        counts += under
+    ancestors = np.bincount(counts, minlength=n + 1)[:n]
+    return np.cumsum(ancestors, out=ancestors)
 
 
-def _pad_scores(matrix: np.ndarray, num_steps: int) -> np.ndarray:
-    """Zero-pad an obs-score matrix to the tempering schedule's width.
+def _score_sums(
+    rows: Sequence[np.ndarray], n: int, prefix_steps: int = 0
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per particle, ``Σ_j rows[j]`` and the sum of the first ``prefix_steps``
+    rows (zero rows past the end; ``None`` when 0 are asked for).
 
-    A zero column means "this particle's control path emits no observation at
-    that step" (likelihood factor 1), matching the padding the vectorized run
-    already applies across its own control-flow groups.
+    Both accumulate step by step, ``((s_0 + s_1) + …)``, and share their
+    common terms: for fewer than 8 terms that is also the order of NumPy's
+    row reduction.
     """
-    if matrix.shape[1] == num_steps:
-        return matrix
-    padded = np.zeros((matrix.shape[0], num_steps))
-    padded[:, : matrix.shape[1]] = matrix
-    return padded
+    total = np.zeros(n) if not rows else np.array(rows[0], dtype=float)
+    prefix = total.copy() if prefix_steps == 1 else None
+    for j in range(1, len(rows)):
+        total += rows[j]
+        if j == prefix_steps - 1:
+            prefix = total.copy()
+    if prefix is None and prefix_steps:
+        prefix = total + 0.0  # the zero rows past the end
+    return total, prefix
 
 
 @dataclass
@@ -191,38 +232,43 @@ def smc(
         trim_site_scores=True,
     )
 
-    def fresh_population() -> Tuple[VectorRunResult, np.ndarray, np.ndarray, np.ndarray]:
+    def fresh_population(prefix_steps: int = 0):
+        """A new population: its run, prior and guide columns, score rows,
+        and the sum of its first ``prefix_steps`` score rows."""
         sample_started = time.perf_counter()
         with span("smc.sample", particles=num_particles):
             run = vectorizer.run(num_particles, rng)
         _SMC_PHASE_SECONDS.labels(phase="sample").observe(
             time.perf_counter() - sample_started
         )
-        scores = run.obs_score_matrix()
-        if scores is None:
+        rows = run.obs_score_rows()
+        if rows is None:
             raise InferenceError(
                 "SMC needs per-observation likelihood terms, which the "
                 "sequential fallback does not decompose; this model is not "
                 "vectorizable — use the 'is-sequential' or 'mh' engine instead"
             )
+        prior, prefix = _score_sums(rows, num_particles, prefix_steps)
         with np.errstate(invalid="ignore"):
-            prior = run.model_log_weights - scores.sum(axis=1)
-        prior = np.where(np.isneginf(run.model_log_weights), -np.inf, prior)
-        return run, prior, run.guide_log_weights.copy(), scores
+            np.subtract(run.model_log_weights, prior, out=prior)
+        prior[np.isneginf(run.model_log_weights)] = -np.inf
+        return run, prior, run.guide_log_weights, rows, prefix
 
-    run0, prior_lw, guide_lw, scores = fresh_population()
+    run0, prior_lw, guide_lw, rows, _ = fresh_population()
     runs = [run0]
     src_run = np.zeros(num_particles, dtype=int)
     src_idx = np.arange(num_particles)
 
-    num_steps = scores.shape[1]
+    num_steps = len(rows)
     # w_0 = prior / guide: the initial population targets γ_0 = p_prior.
     with np.errstate(invalid="ignore"):
         log_w = prior_lw - guide_lw
-    log_w = np.where(np.isneginf(guide_lw), -np.inf, log_w)
+    log_w[np.isneginf(guide_lw)] = -np.inf
     # Ẑ = mean(w_0) · Π_t Σ_i W̃_{t-1,i}·lik_t,i — the increments below are
     # shift-invariant in log_w, so no renormalisation of log_w is needed.
-    log_evidence = log_mean_exp(log_w)
+    # log_sum_exp(log_w), carried from each normalisation to the next step.
+    log_w_total = log_sum_exp(log_w)
+    log_evidence = log_w_total - math.log(num_particles)
     if log_evidence == -math.inf:
         raise InferenceError(
             "SMC initialisation collapsed: every guide draw has zero prior "
@@ -232,14 +278,17 @@ def smc(
     ess_history: List[float] = []
     resample_steps: List[int] = []
     rejuvenation_rates: List[float] = []
+    log_normalized = np.empty(num_particles)
 
     for t in range(num_steps):
+        row = rows[t]
         # Evidence increment: log Σ_i W̃_{t-1,i} · exp(score_t,i).  The
         # normaliser is exact in log space (no round trip through exp), so
         # particles with tiny-but-nonzero relative weight still contribute.
         with np.errstate(invalid="ignore"):
-            log_normalized = log_w - log_sum_exp(log_w)
-        increment = log_sum_exp(log_normalized + scores[:, t])
+            np.subtract(log_w, log_w_total, out=log_normalized)
+            log_normalized += row
+        increment = log_sum_exp(log_normalized)
         if increment == -math.inf:
             raise InferenceError(
                 f"SMC weight collapse at observation {t}: no particle carries "
@@ -247,9 +296,17 @@ def smc(
             )
         log_evidence += increment
 
-        log_w = log_w + scores[:, t]
-        weights = normalize_log_weights(log_w)
-        ess = effective_sample_size(log_w)
+        log_w += row
+        # The likelihood part of log γ_t, Σ_{j ≤ t} score_j, in the order of
+        # _score_sums.
+        if t == 0:
+            tempered = np.array(row, dtype=float)
+        else:
+            tempered += row
+        # One normalisation serves the ESS, the resampler and the next
+        # step's evidence increment.
+        weights, log_w_total = normalize_with_log_total(log_w)
+        ess = ess_of_normalized(weights)
         ess_history.append(ess)
         _SMC_ESS.observe(ess)
 
@@ -259,12 +316,16 @@ def smc(
             resample_started = time.perf_counter()
             with span("smc.resample", particles=num_particles, step=t):
                 ancestors = systematic_resample(weights, rng)
-                prior_lw = prior_lw[ancestors]
-                guide_lw = guide_lw[ancestors]
-                scores = scores[ancestors]
-                src_run = src_run[ancestors]
-                src_idx = src_idx[ancestors]
+                # Only the future score rows matter from here on: the past
+                # ones are summed into ``tempered``.
+                prior_lw, guide_lw, tempered, src_run, src_idx = (
+                    column.take(ancestors)
+                    for column in (prior_lw, guide_lw, tempered, src_run, src_idx)
+                )
+                rows[t + 1:] = [future.take(ancestors) for future in rows[t + 1:]]
                 log_w = np.zeros(num_particles)
+                # n exact ones: log_sum_exp's sum is exactly n.
+                log_w_total = math.log(num_particles)
             _SMC_PHASE_SECONDS.labels(phase="resample").observe(
                 time.perf_counter() - resample_started
             )
@@ -272,8 +333,10 @@ def smc(
             if rejuvenate:
                 rejuvenate_started = time.perf_counter()
                 with span("smc.rejuvenate", particles=num_particles, step=t):
-                    proposal_run, prop_prior, prop_guide, prop_scores = fresh_population()
-                    if prop_scores.shape[1] > num_steps:
+                    proposal_run, prop_prior, prop_guide, prop_rows, prop_tempered = (
+                        fresh_population(prefix_steps=t + 1)
+                    )
+                    if len(prop_rows) > num_steps:
                         # The model's observation count is branch-dependent and
                         # a proposal path emitted more observations than any
                         # path in the initial population — the tempering
@@ -281,40 +344,49 @@ def smc(
                         # soundly.
                         raise InferenceError(
                             "SMC rejuvenation drew a particle with "
-                            f"{prop_scores.shape[1]} observation steps but the "
+                            f"{len(prop_rows)} observation steps but the "
                             f"tempering schedule has only {num_steps}; this model's "
                             "observation count is branch-dependent — use the 'is' "
                             "or 'mh' engine instead"
                         )
-                    prop_scores = _pad_scores(prop_scores, num_steps)
-                    tempered = slice(0, t + 1)
-                    current_gamma = prior_lw + scores[:, tempered].sum(axis=1)
-                    proposal_gamma = prop_prior + prop_scores[:, tempered].sum(axis=1)
-                    with np.errstate(invalid="ignore"):
-                        log_ratio = (proposal_gamma - prop_guide) - (current_gamma - guide_lw)
+                    # A zero row means "this particle's control path emits no
+                    # observation at that step" (likelihood factor 1).
+                    prop_rows = prop_rows + [np.zeros(num_particles)] * (num_steps - len(prop_rows))
+                    current_gamma = prior_lw + tempered
+                    proposal_gamma = prop_prior + prop_tempered
                     # A proposal with zero target density never wins; a current
                     # particle with zero density always loses to a viable
                     # proposal.
-                    log_ratio = np.where(np.isneginf(proposal_gamma), -np.inf, log_ratio)
-                    log_ratio = np.where(
-                        np.isneginf(current_gamma) & ~np.isneginf(proposal_gamma),
-                        np.inf,
-                        log_ratio,
-                    )
+                    proposal_dead = proposal_gamma == -np.inf
+                    current_dead = (current_gamma == -np.inf) & ~proposal_dead
+                    # log_ratio = (γ' − q') − (γ − q), evaluated in place.
+                    with np.errstate(invalid="ignore"):
+                        log_ratio = proposal_gamma
+                        log_ratio -= prop_guide
+                        current_gamma -= guide_lw
+                        log_ratio -= current_gamma
+                    log_ratio[proposal_dead] = -np.inf
+                    log_ratio[current_dead] = np.inf
+                    uniforms = rng.random(num_particles)
                     with np.errstate(divide="ignore"):
-                        accept = np.log(rng.random(num_particles)) < log_ratio
-                    rejuvenation_rates.append(float(np.mean(accept)))
-                    if np.any(accept):
+                        accept = np.log(uniforms, out=uniforms) < log_ratio
+                    accepted = np.flatnonzero(accept)
+                    rejuvenation_rates.append(len(accepted) / num_particles)
+                    if len(accepted):
                         # Retain the proposal run only when some particle now
                         # descends from it, so rejected batches can be
-                        # collected.
+                        # collected.  The columns were just gathered, so
+                        # they are this loop's own to overwrite.
                         runs.append(proposal_run)
-                        run_id = len(runs) - 1
-                        prior_lw = np.where(accept, prop_prior, prior_lw)
-                        guide_lw = np.where(accept, prop_guide, guide_lw)
-                        scores = np.where(accept[:, None], prop_scores, scores)
-                        src_run = np.where(accept, run_id, src_run)
-                        src_idx = np.where(accept, np.arange(num_particles), src_idx)
+                        for mine, theirs in (
+                            (prior_lw, prop_prior),
+                            (guide_lw, prop_guide),
+                            (tempered, prop_tempered),
+                            *zip(rows[t + 1:], prop_rows[t + 1:]),
+                        ):
+                            mine[accepted] = theirs[accepted]
+                        src_run[accepted] = len(runs) - 1
+                        src_idx[accepted] = accepted
                 _SMC_PHASE_SECONDS.labels(phase="rejuvenate").observe(
                     time.perf_counter() - rejuvenate_started
                 )

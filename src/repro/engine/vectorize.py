@@ -1076,6 +1076,13 @@ class ParticleVectorizer:
         return leaves
 
 
+def _column(value: object, size: int) -> np.ndarray:
+    """``value`` as a float ``(size,)`` column: itself when it already is one,
+    else a read-only broadcast view (a per-group constant)."""
+    array = np.asarray(value, dtype=float)
+    return array if array.shape == (size,) else np.broadcast_to(array, (size,))
+
+
 def _vec_message_of(message: tr.Message) -> VecMessage:
     if isinstance(message, tr.ValP):
         return VecMessage("val", True, message.value)
@@ -1095,6 +1102,10 @@ class VectorRunResult:
     control-flow groups; per-particle traces are materialised lazily (one
     tuple of messages per particle) only when explicitly requested, so the
     hot inference path never touches per-particle Python objects.
+
+    Columns are assembled without copies when one group holds every
+    particle (the leaf's own arrays), with one gather per column otherwise.
+    They are shared, not owned: consumers must not write into them.
     """
 
     def __init__(
@@ -1120,11 +1131,22 @@ class VectorRunResult:
         #: (``None`` when no fallback happened).
         self.fallback_reason = fallback_reason
 
-        self.model_log_weights = np.empty(num_particles)
-        self.guide_log_weights = np.empty(num_particles)
-        for leaf in leaves:
-            self.model_log_weights[leaf.indices] = leaf.model_log_weights
-            self.guide_log_weights[leaf.indices] = leaf.guide_log_weights
+        self._positions: Optional[np.ndarray] = None
+        if len(leaves) == 1 and np.array_equal(leaves[0].indices, np.arange(num_particles)):
+            # One group holds every particle, in particle order.
+            (leaf,) = leaves
+            self.model_log_weights = _column(leaf.model_log_weights, num_particles)
+            self.guide_log_weights = _column(leaf.guide_log_weights, num_particles)
+        else:
+            # Where each particle sits in the leaves' concatenated columns:
+            # one scatter, then every column is a gather that reads each
+            # leaf's (ascending) slice in order.
+            self._positions = np.empty(num_particles, dtype=np.intp)
+            self._positions[np.concatenate([leaf.indices for leaf in leaves])] = np.arange(
+                num_particles
+            )
+            self.model_log_weights = self._gather(leaf.model_log_weights for leaf in leaves)
+            self.guide_log_weights = self._gather(leaf.guide_log_weights for leaf in leaves)
 
     @property
     def num_groups(self) -> int:
@@ -1136,22 +1158,32 @@ class VectorRunResult:
             weights = self.model_log_weights - self.guide_log_weights
         return np.where(np.isneginf(self.guide_log_weights), -np.inf, weights)
 
-    def obs_score_matrix(self) -> Optional[np.ndarray]:
-        """Per-particle, per-observation log-likelihood terms (``(n, T)``).
+    def obs_score_rows(self) -> Optional[List[np.ndarray]]:
+        """Per-observation log-likelihood terms, step-major: ``T`` rows of ``(n,)``.
 
         ``None`` when the run fell back to the sequential scheduler (which
         does not decompose the model weight).  Groups whose control path
         emits fewer observation messages than the longest path are padded
-        with zero contributions.
+        with zero contributions.  Rows may be the leaves' own (or broadcast,
+        read-only) arrays: consumers must not write into them.
         """
         if any(leaf.obs_scores is None for leaf in self.leaves):
             return None
+        if self._positions is None:
+            return [_column(s, self.num_particles) for s in self.leaves[0].obs_scores]
         num_steps = max((len(leaf.obs_scores) for leaf in self.leaves), default=0)
-        matrix = np.zeros((self.num_particles, num_steps))
-        for leaf in self.leaves:
-            for t, scores in enumerate(leaf.obs_scores):
-                matrix[leaf.indices, t] = scores
-        return matrix
+        return [
+            self._gather(
+                leaf.obs_scores[t] if t < len(leaf.obs_scores) else 0.0 for leaf in self.leaves
+            )
+            for t in range(num_steps)
+        ]
+
+    def _gather(self, values) -> np.ndarray:
+        """One value per leaf (an array over its particles, or a constant),
+        assembled into a particle-ordered column."""
+        pieces = [_column(v, len(leaf.indices)) for v, leaf in zip(values, self.leaves)]
+        return np.concatenate(pieces).take(self._positions)
 
     def _latent_columns(self, leaf: _Leaf) -> List[object]:
         return [

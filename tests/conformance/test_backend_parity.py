@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler import fused_unsupported_reason
+from repro.compiler import compiled_unsupported_reason
 from repro.core.semantics import traces as tr
 from repro.engine import ProgramSession, make_particle_runner
 from repro.engine.backend import CompiledParticleRunner
@@ -42,7 +42,7 @@ GUIDE_ARGS = {"outliers": (True,)}
 EXPRESSIBLE = [b for b in all_benchmarks() if b.expressible]
 COMPILABLE = [
     b for b in EXPRESSIBLE
-    if fused_unsupported_reason(
+    if compiled_unsupported_reason(
         b.model_program(), b.guide_program(), b.model_entry, b.guide_entry
     ) is None
 ]
@@ -101,11 +101,11 @@ def _assert_bitwise_equal_runs(r1, r2, context: str):
                     assert np.array_equal(x.payload, y.payload), context
                 else:
                     assert x.payload == y.payload, context
-    s1, s2 = r1.obs_score_matrix(), r2.obs_score_matrix()
+    s1, s2 = r1.obs_score_rows(), r2.obs_score_rows()
     if s1 is None or s2 is None:
         assert s1 is None and s2 is None, context
     else:
-        assert np.array_equal(s1, s2), context
+        assert np.array_equal(np.asarray(s1), np.asarray(s2)), context
 
 
 @pytest.mark.parametrize("bench", COMPILABLE, ids=lambda b: b.name)
@@ -246,7 +246,7 @@ def test_mega_rescore_delegates_unstamped_leaves():
 
 @pytest.mark.parametrize("bench", RECURSIVE, ids=lambda b: b.name)
 def test_recursive_models_fall_back_with_reason(bench):
-    reason = fused_unsupported_reason(
+    reason = compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     )
     assert reason is not None and "recursive" in reason
@@ -274,6 +274,6 @@ def test_recursive_models_fall_back_with_reason(bench):
         assert result.diagnostics()["backend"] == "interp"
         assert "recursive" in result.diagnostics().get("fallback_reason", "")
     else:
-        session.fused_kernel()
+        session.compiled_kernel()
     assert session.compiled_backend_supported is False
     assert "recursive" in session.compiled_fallback_reason

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler import fused_unsupported_reason, load_mega
+from repro.compiler import compiled_unsupported_reason, load_mega
 from repro.compiler import batched_runtime as rt
 from repro.core import ast
 from repro.core.parser import parse_program
@@ -144,21 +144,21 @@ proc G() provide latent {
 
 
 def _reason(model_src, guide_src=GUIDE_MIN, model_entry="M", guide_entry="G"):
-    return fused_unsupported_reason(
+    return compiled_unsupported_reason(
         parse_program(model_src), parse_program(guide_src), model_entry, guide_entry
     )
 
 
 def test_fragment_accepts_plain_pairs():
     bench = get_benchmark("lr")
-    assert fused_unsupported_reason(
+    assert compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     ) is None
 
 
 def test_fragment_rejects_recursion():
     bench = get_benchmark("ptrace")
-    reason = fused_unsupported_reason(
+    reason = compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     )
     assert "recursive" in reason
@@ -256,8 +256,8 @@ def test_session_compiles_kernel_once():
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
-    kernel1, reason1 = session.fused_kernel()
-    kernel2, _ = session.fused_kernel()
+    kernel1, reason1 = session.compiled_kernel()
+    kernel2, _ = session.compiled_kernel()
     assert reason1 is None
     assert kernel1 is kernel2
     assert session.compiled_backend_supported is True
@@ -265,7 +265,7 @@ def test_session_compiles_kernel_once():
     for engine in ("is", "smc"):
         session.infer(engine, num_particles=32, obs_values=bench.obs_values,
                       seed=0, backend="compiled")
-    assert session.fused_kernel()[0] is kernel1
+    assert session.compiled_kernel()[0] is kernel1
     assert "mega_rescore" not in kernel1.source
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     leaf = kernel1.run(np.random.default_rng(0), 16, obs, (), ())[0]
@@ -327,7 +327,7 @@ proc G() provide latent {
 }
 """
     model, guide = parse_program(model_src), parse_program(guide_src)
-    assert fused_unsupported_reason(model, guide, "M", "G") is None
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
     obs = (tr.ValP(0.4),)
     runs = {}
     for backend in ("interp", "compiled"):
@@ -374,7 +374,7 @@ proc M() consume latent provide obs {
     assert runs["compiled"].backend == "compiled"
     assert np.array_equal(runs["interp"].log_weights(), runs["compiled"].log_weights())
     assert np.array_equal(
-        runs["interp"].obs_score_matrix(), runs["compiled"].obs_score_matrix()
+        np.asarray(runs["interp"].obs_score_rows()), np.asarray(runs["compiled"].obs_score_rows())
     )
 
 
@@ -416,7 +416,7 @@ proc G() provide latent {
 }
 """
     model, guide = parse_program(model_src), parse_program(guide_src)
-    assert fused_unsupported_reason(model, guide, "M", "G") is None
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
     kernel = load_mega(model, guide, "M", "G")  # must not raise NameError
 
     from repro.engine import make_particle_runner

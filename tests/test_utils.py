@@ -20,7 +20,9 @@ from repro.utils.numerics import (
     log_mean_exp,
     log_sum_exp,
     normalize_log_weights,
+    normalize_with_log_total,
     weighted_mean,
+    weighted_mean_se,
     weighted_variance,
 )
 from repro.utils.pretty import (
@@ -63,6 +65,39 @@ class TestNumerics:
     def test_effective_sample_size_bounds(self):
         assert effective_sample_size([0.0] * 10) == pytest.approx(10.0)
         assert effective_sample_size([0.0, -math.inf]) == pytest.approx(1.0)
+
+    def test_collapsed_weights_have_zero_effective_sample_size(self):
+        # Regression: an all -inf vector normalises to uniform, and its ESS
+        # used to read as full (n) for a run that has collapsed.
+        assert effective_sample_size(np.full(5, -np.inf)) == 0.0
+        assert effective_sample_size([-math.inf]) == 0.0
+        mean, se = weighted_mean_se([1.0, 2.0, 3.0], np.full(3, -np.inf))
+        assert se == math.inf
+
+    def test_fast_paths_match_the_masked_computation(self):
+        # log_sum_exp and normalize_log_weights skip their -inf masking when
+        # no weight is -inf; the result must be the masked one, bit for bit.
+        def masked_log_sum_exp(array):
+            kept = array[array > -np.inf]
+            peak = float(np.max(kept))
+            return peak + math.log(float(np.sum(np.exp(kept - peak))))
+
+        def masked_normalize(array):
+            peak = np.max(array[np.isfinite(array)])
+            weights = np.exp(np.clip(array - peak, -745.0, 0.0))
+            weights[np.isneginf(array)] = 0.0
+            return weights / weights.sum()
+
+        rng = np.random.default_rng(3)
+        for scale in (1.0, 30.0, 400.0):  # 400: some weights are clipped
+            values = rng.normal(0.0, scale, size=1001)
+            assert log_sum_exp(values) == masked_log_sum_exp(values)
+            assert np.array_equal(normalize_log_weights(values), masked_normalize(values))
+            weights, log_total = normalize_with_log_total(values)
+            assert np.array_equal(weights, masked_normalize(values))
+            assert log_total == masked_log_sum_exp(values)
+        # A nan is dropped like a -inf, as before.
+        assert log_sum_exp(np.array([0.0, math.nan])) == 0.0
 
     def test_weighted_mean_and_variance(self):
         values = [1.0, 3.0]
